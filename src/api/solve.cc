@@ -132,13 +132,13 @@ Status ValidateSolveInput(const PointSet& points, const SolveOptions& o) {
 
 namespace {
 
-// The streaming and MapReduce backends consume value-typed points (the
-// stream engines copy what they keep; the MR drivers partition and re-lay
-// out per reducer), so both Solve overloads funnel through this helper
-// without forcing a columnar conversion of the whole input.
-StatusOr<SolveResult> TrySolveStreamingOrMr(const PointSet& points,
+// The streaming backends consume the retained value-typed points (the
+// stream engines copy what they keep); the MapReduce drivers take the
+// Dataset itself and hand each reducer a row view of it.
+StatusOr<SolveResult> TrySolveStreamingOrMr(const Dataset& data,
                                             const Metric& metric,
                                             const SolveOptions& o) {
+  const PointSet& points = data.points();
   SolveResult result;
   switch (o.backend) {
     case Backend::kSequential:
@@ -181,10 +181,10 @@ StatusOr<SolveResult> TrySolveStreamingOrMr(const PointSet& points,
       MapReduceDiversity driver(&metric, o.problem, mr);
       StatusOr<MrResult> run =
           o.backend == Backend::kMapReduceGeneralized
-              ? driver.TryRunGeneralized(points)
+              ? driver.TryRunGeneralized(data)
               : o.backend == Backend::kMapReduceRecursive
-                    ? driver.TryRunRecursive(points, o.local_memory_budget)
-                    : driver.TryRun(points);
+                    ? driver.TryRunRecursive(data, o.local_memory_budget)
+                    : driver.TryRun(data);
       if (!run.ok()) return run.status();
       result = FromMr(*run);
       break;
@@ -193,9 +193,9 @@ StatusOr<SolveResult> TrySolveStreamingOrMr(const PointSet& points,
   return result;
 }
 
-SolveResult SolveStreamingOrMr(const PointSet& points, const Metric& metric,
+SolveResult SolveStreamingOrMr(const Dataset& data, const Metric& metric,
                                const SolveOptions& o) {
-  StatusOr<SolveResult> result = TrySolveStreamingOrMr(points, metric, o);
+  StatusOr<SolveResult> result = TrySolveStreamingOrMr(data, metric, o);
   if (!result.ok()) {
     std::fprintf(stderr, "Solve failed: %s\n",
                  result.status().ToString().c_str());
@@ -227,7 +227,7 @@ SolveResult Solve(const Dataset& data, const Metric& metric,
     // bit-identical to evaluating the copied solution PointSet.
     result.diversity = EvaluateDiversitySubset(o.problem, data, picked, metric);
   } else {
-    result = SolveStreamingOrMr(data.points(), metric, o);
+    result = SolveStreamingOrMr(data, metric, o);
   }
   result.seconds = timer.Seconds();
   return result;
@@ -235,21 +235,7 @@ SolveResult Solve(const Dataset& data, const Metric& metric,
 
 SolveResult Solve(const PointSet& points, const Metric& metric,
                   const SolveOptions& options) {
-  if (points.empty()) return {};  // see the Dataset overload
-  Timer timer;
-  SolveResult result;
-  if (options.backend == Backend::kSequential) {
-    // Only the sequential backend runs directly on columnar storage; the
-    // shim's one copy happens here, inside the reported wall time.
-    result = Solve(Dataset::FromPoints(points), metric, options);
-  } else {
-    SolveOptions o = Normalize(options);
-    ScopedScreening screening_guard(o.screening && ScreeningEnabled());
-    ScopedIndexing indexing_guard(o.indexing && IndexingEnabled());
-    result = SolveStreamingOrMr(points, metric, o);
-  }
-  result.seconds = timer.Seconds();
-  return result;
+  return Solve(Dataset::FromPoints(points), metric, options);
 }
 
 StatusOr<SolveResult> TrySolve(const Dataset& data, const Metric& metric,
@@ -266,7 +252,7 @@ StatusOr<SolveResult> TrySolve(const Dataset& data, const Metric& metric,
     for (size_t idx : picked) result.solution.push_back(data.point(idx));
     result.diversity = EvaluateDiversitySubset(o.problem, data, picked, metric);
   } else {
-    StatusOr<SolveResult> run = TrySolveStreamingOrMr(data.points(), metric, o);
+    StatusOr<SolveResult> run = TrySolveStreamingOrMr(data, metric, o);
     if (!run.ok()) return run.status();
     result = std::move(*run);
   }
@@ -276,19 +262,7 @@ StatusOr<SolveResult> TrySolve(const Dataset& data, const Metric& metric,
 
 StatusOr<SolveResult> TrySolve(const PointSet& points, const Metric& metric,
                                const SolveOptions& options) {
-  DIVERSE_RETURN_IF_ERROR(ValidateSolveInput(points, options));
-  if (options.backend == Backend::kSequential) {
-    return TrySolve(Dataset::FromPoints(points), metric, options);
-  }
-  SolveOptions o = Normalize(options);
-  ScopedScreening screening_guard(o.screening && ScreeningEnabled());
-  ScopedIndexing indexing_guard(o.indexing && IndexingEnabled());
-  Timer timer;
-  StatusOr<SolveResult> run = TrySolveStreamingOrMr(points, metric, o);
-  if (!run.ok()) return run.status();
-  SolveResult result = std::move(*run);
-  result.seconds = timer.Seconds();
-  return result;
+  return TrySolve(Dataset::FromPoints(points), metric, options);
 }
 
 }  // namespace diverse

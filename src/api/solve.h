@@ -131,7 +131,7 @@ struct SolveResult {
 SolveResult Solve(const Dataset& data, const Metric& metric,
                   const SolveOptions& options);
 
-/// Shim: copies `points` into a Dataset and solves on it.
+/// Shim: copies `points` into a Dataset once and solves on it.
 SolveResult Solve(const PointSet& points, const Metric& metric,
                   const SolveOptions& options);
 
@@ -149,7 +149,8 @@ SolveResult Solve(const PointSet& points, const Metric& metric,
 DIVERSE_MUST_USE StatusOr<SolveResult> TrySolve(
     const Dataset& data, const Metric& metric, const SolveOptions& options);
 
-/// Shim: validates `points` and solves on a Dataset copy.
+/// Shim: copies `points` into a Dataset once and runs the Dataset overload
+/// (validation included).
 DIVERSE_MUST_USE StatusOr<SolveResult> TrySolve(
     const PointSet& points, const Metric& metric,
     const SolveOptions& options);

@@ -11,14 +11,36 @@
 
 namespace diverse {
 
+PointSet PartitionRef::Gather() const {
+  PointSet out;
+  out.reserve(rows.size());
+  for (uint32_t r : rows) out.push_back(data.point(r));
+  return out;
+}
+
+StatusOr<PointSet> CommunicationEngine::CoresetOfRows(
+    const TaskEnvelope& env, const PartitionRef& part,
+    const CoresetSpec& spec) {
+  return Coreset(env, part.Gather(), spec);
+}
+
+StatusOr<GenCoresetResult> CommunicationEngine::GenCoresetOfRows(
+    const TaskEnvelope& env, const PartitionRef& part, size_t k,
+    size_t k_prime) {
+  return GenCoreset(env, part.Gather(), k, k_prime);
+}
+
+PointSet ComputeCoreset(const Dataset& data, const Metric& metric,
+                        const CoresetSpec& spec) {
+  if (!spec.extended) return GmmCoreset(data, metric, spec.k_prime).points;
+  return GmmExtCoreset(data, metric, spec.k_prime, spec.delegates).points;
+}
+
 PointSet ComputeCoreset(const PointSet& part, const Metric& metric,
                         const CoresetSpec& spec, Dataset* scratch) {
   if (part.empty()) return {};
   scratch->Assign(part);
-  if (!spec.extended) {
-    return GmmCoreset(*scratch, metric, spec.k_prime).points;
-  }
-  return GmmExtCoreset(*scratch, metric, spec.k_prime, spec.delegates).points;
+  return ComputeCoreset(*scratch, metric, spec);
 }
 
 GenCoresetResult ComputeGenCoreset(const PointSet& part, const Metric& metric,
@@ -64,9 +86,8 @@ StatusOr<PointSet> ComputeInstantiate(const TaskEnvelope& env,
   return std::move(*inst);
 }
 
-// The same acquire/assign/release scratch discipline the pre-engine
-// simulator used (mr_diversity.h DatasetScratchPool): at most one scratch
-// Dataset per concurrently running reducer, capacity reused across calls.
+// At most one scratch Dataset per concurrently running reducer, capacity
+// reused across calls.
 struct LoopbackEngine::ScratchPool {
   Dataset Acquire() DIVERSE_EXCLUDES(mu) {
     MutexLock lock(&mu);
@@ -132,6 +153,30 @@ StatusOr<PointSet> LoopbackEngine::Coreset(const TaskEnvelope& env,
   PointSet cs = ComputeCoreset(part, *metric_, spec, &scratch);
   scratch_->Release(std::move(scratch));
   return cs;
+}
+
+StatusOr<PointSet> LoopbackEngine::CoresetOfRows(const TaskEnvelope& env,
+                                                 const PartitionRef& part,
+                                                 const CoresetSpec& spec) {
+  DIVERSE_RETURN_IF_ERROR(ApplyTransportFault(env));
+  if (part.empty()) return PointSet{};
+  Dataset scratch = scratch_->Acquire();
+  scratch.AssignGather(part.data, part.rows, /*with_points=*/true);
+  PointSet cs = ComputeCoreset(scratch, *metric_, spec);
+  scratch_->Release(std::move(scratch));
+  return cs;
+}
+
+StatusOr<GenCoresetResult> LoopbackEngine::GenCoresetOfRows(
+    const TaskEnvelope& env, const PartitionRef& part, size_t k,
+    size_t k_prime) {
+  DIVERSE_RETURN_IF_ERROR(ApplyTransportFault(env));
+  Dataset scratch = scratch_->Acquire();
+  scratch.AssignGather(part.data, part.rows, /*with_points=*/true);
+  GenCoresetResult result;
+  result.gen = GmmGenCoreset(scratch, *metric_, k, k_prime, &result.range);
+  scratch_->Release(std::move(scratch));
+  return result;
 }
 
 StatusOr<GenCoresetResult> LoopbackEngine::GenCoreset(const TaskEnvelope& env,

@@ -30,6 +30,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 
 #include "core/dataset.h"
@@ -59,6 +60,21 @@ struct TaskEnvelope {
   /// that lets a re-ship after a crash hit the worker cache instead of
   /// re-serializing the partition.
   uint64_t cache_key = 0;
+};
+
+/// One reducer's partition as a row view of the driver's input: rows
+/// `rows` of `data`, in that order. The MapReduce drivers partition their
+/// input as row-index blocks and hand each reducer one of these; the
+/// reducer gathers the rows itself, inside its own task. `data` must
+/// retain its points (every Dataset built from points does).
+struct PartitionRef {
+  const Dataset& data;
+  std::span<const uint32_t> rows;
+
+  size_t size() const { return rows.size(); }
+  bool empty() const { return rows.empty(); }
+  /// Value-typed copy of the partition, in row order.
+  PointSet Gather() const;
 };
 
 /// What core-set to build on a partition.
@@ -103,11 +119,26 @@ class CommunicationEngine {
                                      const PointSet& part,
                                      const CoresetSpec& spec) = 0;
 
+  /// Coreset() of a row-view partition — the call the MapReduce drivers
+  /// make. Dispatches to CoresetOfRows().
+  StatusOr<PointSet> Coreset(const TaskEnvelope& env, const PartitionRef& part,
+                             const CoresetSpec& spec) {
+    return CoresetOfRows(env, part, spec);
+  }
+
   /// GMM-GEN generalized core-set of one partition (round 1, 3-round
   /// driver).
   virtual StatusOr<GenCoresetResult> GenCoreset(const TaskEnvelope& env,
                                                 const PointSet& part,
                                                 size_t k, size_t k_prime) = 0;
+
+  /// GenCoreset() of a row-view partition. Dispatches to
+  /// GenCoresetOfRows().
+  StatusOr<GenCoresetResult> GenCoreset(const TaskEnvelope& env,
+                                        const PartitionRef& part, size_t k,
+                                        size_t k_prime) {
+    return GenCoresetOfRows(env, part, k, k_prime);
+  }
 
   /// One tree-reduction node: the concatenation a ++ b, order preserved.
   /// Associative with the identity [], so any reduction tree over the
@@ -134,6 +165,21 @@ class CommunicationEngine {
                                          const GeneralizedCoreset& selected,
                                          const PointSet& part,
                                          double range) = 0;
+
+ protected:
+  /// The row-view paths behind the PartitionRef overloads. The defaults
+  /// gather the rows into a PointSet (in the calling reducer task, so the
+  /// copies of concurrent reducers run in parallel) and forward to the
+  /// PointSet virtuals — a transport that ships points sends byte-identical
+  /// requests either way. An engine that can lay the rows out directly
+  /// overrides these.
+  virtual StatusOr<PointSet> CoresetOfRows(const TaskEnvelope& env,
+                                           const PartitionRef& part,
+                                           const CoresetSpec& spec);
+  virtual StatusOr<GenCoresetResult> GenCoresetOfRows(const TaskEnvelope& env,
+                                                      const PartitionRef& part,
+                                                      size_t k,
+                                                      size_t k_prime);
 };
 
 // ---- Pure compute cores (shared by loopback and the worker process) ----
@@ -142,6 +188,11 @@ class CommunicationEngine {
 /// scratch (capacity reused across calls); cleared by the caller's pool.
 PointSet ComputeCoreset(const PointSet& part, const Metric& metric,
                         const CoresetSpec& spec, Dataset* scratch);
+
+/// Core-set per `spec` of a partition already laid out in `data`
+/// (non-empty).
+PointSet ComputeCoreset(const Dataset& data, const Metric& metric,
+                        const CoresetSpec& spec);
 
 /// GMM-GEN on a partition. Requires a non-empty partition.
 GenCoresetResult ComputeGenCoreset(const PointSet& part, const Metric& metric,
@@ -166,7 +217,9 @@ StatusOr<PointSet> ComputeInstantiate(const TaskEnvelope& env,
 
 /// The in-process engine: runs every call directly on the driver's metric.
 /// Thread-safe; owns a scratch-Dataset pool so concurrent reducers reuse
-/// columnar capacity exactly as the pre-engine simulator did.
+/// columnar capacity. A row-view partition is gathered straight from the
+/// driver's input Dataset into the reducer's scratch (Dataset::
+/// AssignGather), with no intermediate PointSet.
 class LoopbackEngine final : public CommunicationEngine {
  public:
   /// `metric` must outlive this engine.
@@ -175,6 +228,8 @@ class LoopbackEngine final : public CommunicationEngine {
 
   std::string BackendName() const override { return "loopback"; }
 
+  using CommunicationEngine::Coreset;
+  using CommunicationEngine::GenCoreset;
   StatusOr<PointSet> Coreset(const TaskEnvelope& env, const PointSet& part,
                              const CoresetSpec& spec) override;
   StatusOr<GenCoresetResult> GenCoreset(const TaskEnvelope& env,
@@ -190,6 +245,15 @@ class LoopbackEngine final : public CommunicationEngine {
   StatusOr<PointSet> Instantiate(const TaskEnvelope& env,
                                  const GeneralizedCoreset& selected,
                                  const PointSet& part, double range) override;
+
+ protected:
+  StatusOr<PointSet> CoresetOfRows(const TaskEnvelope& env,
+                                   const PartitionRef& part,
+                                   const CoresetSpec& spec) override;
+  StatusOr<GenCoresetResult> GenCoresetOfRows(const TaskEnvelope& env,
+                                              const PartitionRef& part,
+                                              size_t k,
+                                              size_t k_prime) override;
 
  private:
   struct ScratchPool;

@@ -80,11 +80,25 @@ uint64_t MixBytes(uint64_t h, const void* data, size_t bytes) {
   return h;
 }
 
-}  // namespace
-
-uint64_t FingerprintPoints(const PointSet& points) {
-  uint64_t h = MixWord(0xD1BE45E5EED5EEDULL, points.size());
+// Exact size of AppendPointSet(points): the u64 count plus every record.
+size_t PointSetPayloadBytes(const PointSet& points) {
+  size_t bytes = sizeof(uint64_t);
   for (const Point& p : points) {
+    const size_t per_coord =
+        p.is_sparse() ? sizeof(uint32_t) + sizeof(float) : sizeof(float);
+    bytes += kMinPointRecordBytes + p.nnz() * per_coord;
+  }
+  return bytes;
+}
+
+// The FingerprintPoints hash over `count` points produced by `point_at(i)`:
+// the one definition both the PointSet and the row-view stamps share, so
+// they agree by construction.
+template <typename PointAt>
+uint64_t FingerprintSequence(size_t count, PointAt point_at) {
+  uint64_t h = MixWord(0xD1BE45E5EED5EEDULL, count);
+  for (size_t i = 0; i < count; ++i) {
+    const Point& p = point_at(i);
     const uint64_t header = (uint64_t{p.is_sparse() ? 1u : 0u} << 48) ^
                             (uint64_t{static_cast<uint32_t>(p.dim())} << 16) ^
                             uint64_t{static_cast<uint32_t>(p.nnz())};
@@ -101,6 +115,19 @@ uint64_t FingerprintPoints(const PointSet& points) {
   }
   // 0 is the "untagged" sentinel in WireRequest; remap the (2^-64) hit.
   return h == 0 ? 0x9E3779B97F4A7C15ULL : h;
+}
+
+}  // namespace
+
+uint64_t FingerprintPoints(const PointSet& points) {
+  return FingerprintSequence(
+      points.size(), [&points](size_t i) -> const Point& { return points[i]; });
+}
+
+uint64_t FingerprintRows(const Dataset& data, std::span<const uint32_t> rows) {
+  return FingerprintSequence(rows.size(), [&](size_t i) -> const Point& {
+    return data.point(rows[i]);
+  });
 }
 
 size_t ApproxPointSetBytes(const PointSet& points) {
@@ -182,7 +209,16 @@ StatusOr<GeneralizedCoreset> TryReadGenCoreset(ByteReader* in,
 
 std::string EncodeWireRequest(const WireRequest& request,
                               const PointSet* points_override) {
+  const PointSet& points =
+      points_override != nullptr ? *points_override : request.points;
+  // Reserve the point sections up front (the envelope and a generalized
+  // core-set are small). Growing a multi-megabyte partition buffer by
+  // doubling leaves the discarded blocks in the encoding thread's malloc
+  // arena, and the driver's resident set keeps them.
   std::string out;
+  out.reserve(256 + request.metric.size() + request.round.size() +
+              (request.points_by_ref ? 0 : PointSetPayloadBytes(points)) +
+              PointSetPayloadBytes(request.points2));
   AppendScalar<uint8_t>(static_cast<uint8_t>(request.type), &out);
   AppendString(request.metric, &out);
   AppendScalar<uint8_t>(static_cast<uint8_t>(request.problem), &out);
@@ -201,11 +237,7 @@ std::string EncodeWireRequest(const WireRequest& request,
   if (request.cache_insert) flags |= kFlagCacheInsert;
   AppendScalar<uint8_t>(flags, &out);
   AppendScalar<uint64_t>(request.evict_fingerprint, &out);
-  if (!request.points_by_ref) {
-    AppendPointSet(points_override != nullptr ? *points_override
-                                              : request.points,
-                   &out);
-  }
+  if (!request.points_by_ref) AppendPointSet(points, &out);
   AppendPointSet(request.points2, &out);
   AppendGenCoreset(request.gen, &out);
   return out;

@@ -15,9 +15,11 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 
+#include "core/dataset.h"
 #include "core/diversity.h"
 #include "core/generalized_coreset.h"
 #include "core/point.h"
@@ -125,6 +127,12 @@ DIVERSE_MUST_USE StatusOr<GeneralizedCoreset> TryReadGenCoreset(
 /// points (decode is exact, so the stamps agree iff the bytes survived).
 /// Never returns 0 (0 is the "untagged" sentinel in WireRequest).
 uint64_t FingerprintPoints(const PointSet& points);
+
+/// FingerprintPoints of rows `rows` of `data` (in that order), read from
+/// the dataset's retained points without gathering a copy: equal to
+/// FingerprintPoints of the gathered partition, which is what the worker
+/// verifies the shipped points against. `data` must retain its points.
+uint64_t FingerprintRows(const Dataset& data, std::span<const uint32_t> rows);
 
 /// Approximate resident bytes of a point set (records + vector headers):
 /// the unit of the worker cache budget and the driver's oversize guard.

@@ -120,6 +120,10 @@ class SocketEngine final : public CommunicationEngine {
     return options_.worker_cache_bytes > 0;
   }
 
+  // Row-view partitions take the base class's in-task gather, so they ship
+  // byte-identical requests to the PointSet calls.
+  using CommunicationEngine::Coreset;
+  using CommunicationEngine::GenCoreset;
   StatusOr<PointSet> Coreset(const TaskEnvelope& env, const PointSet& part,
                              const CoresetSpec& spec) override;
   StatusOr<GenCoresetResult> GenCoreset(const TaskEnvelope& env,

@@ -317,7 +317,7 @@ CoverTree CoverTree::Build(const Dataset& data, const Metric& metric) {
     }
     if (any_split) {
       Dataset& dst = (cur == &buf_a) ? buf_b : buf_a;
-      dst.AssignGatherColumnar(*cur, next_local);
+      dst.AssignGather(*cur, next_local, /*with_points=*/false);
       cur = &dst;
       cur_mut = &dst;
       // The children's inherited center distances were written at the NEW
@@ -337,7 +337,7 @@ CoverTree CoverTree::Build(const Dataset& data, const Metric& metric) {
     // Never split: the leaf order is the identity.
     next_local.resize(n);
     std::iota(next_local.begin(), next_local.end(), uint32_t{0});
-    t.leaf_data_.AssignGatherColumnar(data, next_local);
+    t.leaf_data_.AssignGather(data, next_local, /*with_points=*/false);
   }
   t.slack_ = metric.IndexSlack(t.leaf_data_);
   return t;

@@ -170,10 +170,11 @@ class CoverTree {
   /// The rows of the source dataset re-materialized in leaf order — the
   /// dataset the leaf sweeps run on (identical row content and aggregate
   /// statistics, so screening bounds and per-pair decisions match the flat
-  /// sweep bit for bit). Columnar-only (Dataset::AssignGatherColumnar):
-  /// kernels, norms, and stats are available, but the value-typed point()
-  /// accessors are not — traversals always address it as the DATA side of
-  /// the row kernels, which every metric that opts into indexing overrides.
+  /// sweep bit for bit). Columnar-only (Dataset::AssignGather without
+  /// points): kernels, norms, and stats are available, but the value-typed
+  /// point() accessors are not — traversals always address it as the DATA
+  /// side of the row kernels, which every metric that opts into indexing
+  /// overrides.
   const Dataset& leaf_data() const { return leaf_data_; }
 
   /// perm()[leaf_row] = original row id; inv_perm() is the inverse.

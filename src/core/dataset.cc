@@ -111,13 +111,15 @@ void Dataset::Clear() {
   content_stamp_ = NextContentStamp();
 }
 
-void Dataset::AssignGatherColumnar(const Dataset& src,
-                                   std::span<const uint32_t> rows) {
+void Dataset::AssignGather(const Dataset& src,
+                           std::span<const uint32_t> rows, bool with_points) {
   DIVERSE_CHECK(this != &src);
+  if (with_points) DIVERSE_CHECK_EQ(src.points_.size(), src.rows_.size());
   Clear();
   dim_ = src.dim_;
   rows_.reserve(rows.size());
   norms_.reserve(rows.size());
+  if (with_points) points_.reserve(rows.size());
   size_t dense_total = 0;
   size_t csr_total = 0;
   for (uint32_t ri : rows) {
@@ -149,6 +151,7 @@ void Dataset::AssignGatherColumnar(const Dataset& src,
                     src.dense_.begin() + rr.start + rr.len);
     }
     rows_.push_back(out);
+    if (with_points) points_.push_back(src.points_[ri]);
     double n = src.norms_[ri];
     norms_.push_back(n);
     if (n > 0.0) s.min_positive_norm = std::min(s.min_positive_norm, n);

@@ -159,25 +159,34 @@ class Dataset {
 
   /// Replaces the contents with `points`: Clear() + Append for each point,
   /// reusing the existing columnar array capacity. This is the scratch-reuse
-  /// path for per-partition re-layouts (MapReduce reducers rebuild a Dataset
-  /// per partition; assigning into one scratch avoids re-allocating the
-  /// dense/CSR/norm arrays every round).
+  /// path for value-typed inputs (the compute cores of comm/comm.h lay a
+  /// decoded partition or an aggregated core-set out this way).
   void Assign(std::span<const Point> points);
 
   /// Removes all rows (dimension resets with the next Append).
   void Clear();
 
-  /// Replaces the contents with src rows `rows` (in that order), copying
-  /// ONLY the columnar arrays, norms, and aggregate statistics — points()
-  /// stays empty, so the value-typed accessors (point(), points()) must not
-  /// be used on the result. Kernels, norms, and screening statistics see
-  /// exactly the content Append of the same rows would have produced, at
-  /// raw array-copy speed instead of per-Point heap copies. This is the
-  /// scratch path of the metric-index build (core/cover_tree.cc), which
-  /// re-materializes every tree node's row range once to keep its pole
-  /// sweeps on contiguous rows.
-  void AssignGatherColumnar(const Dataset& src,
-                            std::span<const uint32_t> rows);
+  /// Replaces the contents with src rows `rows` (in that order), reusing
+  /// the existing array capacity. This is the one gather routine of the
+  /// library. It copies the columnar arrays, norms and aggregate statistics
+  /// as raw array slices, so kernels, norms and screening statistics see
+  /// exactly the content Assign() of the same points would have produced.
+  ///
+  /// `with_points` decides what happens to the retained points:
+  ///   * true — the result also retains copies of the rows' points, and is
+  ///     indistinguishable from Assign() of `src.point(rows[i])` (up to
+  ///     content_stamp()). `src` must retain its points. This is the
+  ///     reducer path of the MapReduce drivers: a reducer lays its row
+  ///     block out straight from the input dataset, and the kernels that
+  ///     read `point(q)` for the query side keep working.
+  ///   * false — points() stays empty, so point()/points() must not be
+  ///     used on the result. This is the scratch path of the metric-index
+  ///     build (core/cover_tree.cc), which re-materializes every tree
+  ///     node's row range once and only ever addresses it as the data side
+  ///     of the row kernels.
+  /// `rows` may repeat or skip rows of `src`; `src` must not be `*this`.
+  void AssignGather(const Dataset& src, std::span<const uint32_t> rows,
+                    bool with_points);
 
   /// Approximate heap footprint in bytes (points + columnar arrays).
   size_t MemoryBytes() const;

@@ -63,6 +63,40 @@ Status ValidateFinitePoints(const char* what, const std::string& round,
   return OkStatus();
 }
 
+// The finiteness check of a row-view partition, over the rows' columnar
+// values in place (no gather).
+Status ValidateFiniteRows(const char* what, const std::string& round,
+                          size_t task, const PartitionRef& part) {
+  for (size_t j = 0; j < part.size(); ++j) {
+    const kernels::VecView v = part.data.row(part.rows[j]);
+    for (uint32_t c = 0; c < v.nnz; ++c) {
+      if (!std::isfinite(v.values[c])) {
+        return DataLossError(std::string(what) +
+                             " contains a non-finite coordinate (round '" +
+                             round + "', task " + std::to_string(task) +
+                             ", point " + std::to_string(j) + ")");
+      }
+    }
+  }
+  return OkStatus();
+}
+
+// The input check of one reducer attempt over its partition. A
+// corrupted-partition fault garbles an in-task gathered copy and validates
+// that copy — the input the attempt would compute on — while the pristine
+// rows stay untouched, so the retry re-reads them and recovers bit-
+// identically. (Should the garble find no coordinate to corrupt, the copy
+// equals the rows and the attempt proceeds on them.)
+Status ValidateTaskInput(const std::string& round, const MrTaskContext& ctx,
+                         const PartitionRef& part) {
+  if (ctx.fault == FaultKind::kCorruptPartition && !part.empty()) {
+    PointSet corrupted = part.Gather();
+    GarbleOne(&corrupted, ctx.fault_param);
+    return ValidateFinitePoints("input partition", round, ctx.task, corrupted);
+  }
+  return ValidateFiniteRows("input partition", round, ctx.task, part);
+}
+
 // A core-set of a non-empty partition is non-empty and every coordinate is
 // finite. (No upper size bound: GMM-EXT may emit repeated entries when the
 // partition holds duplicate points, so the core-set can exceed the
@@ -135,14 +169,17 @@ TaskEnvelope MakeEnvelope(const std::string& round, const MrTaskContext& ctx,
 // per attempt: every retry and speculative re-launch of a task reuses the
 // same key, so a re-ship after a crash (or a second solve over the same
 // corpus) hits the worker's partition cache instead of re-fingerprinting
-// and re-serializing. Empty when the engine has no cache to feed —
-// loopback runs pay nothing for the machinery.
-std::vector<uint64_t> PartitionCacheKeys(const CommunicationEngine& engine,
-                                         const std::vector<PointSet>& parts) {
+// and re-serializing. Each key is read off the input's retained points
+// (FingerprintRows), equal to the stamp of the gathered partition the
+// worker verifies. Empty when the engine has no cache to feed — loopback
+// runs pay nothing for the machinery.
+std::vector<uint64_t> PartitionCacheKeys(
+    const CommunicationEngine& engine, const Dataset& data,
+    const std::vector<std::vector<uint32_t>>& blocks) {
   if (!engine.WantsPartitionCacheKeys()) return {};
-  std::vector<uint64_t> keys(parts.size(), 0);
-  for (size_t i = 0; i < parts.size(); ++i) {
-    if (!parts[i].empty()) keys[i] = FingerprintPoints(parts[i]);
+  std::vector<uint64_t> keys(blocks.size(), 0);
+  for (size_t i = 0; i < blocks.size(); ++i) {
+    if (!blocks[i].empty()) keys[i] = FingerprintRows(data, blocks[i]);
   }
   return keys;
 }
@@ -159,7 +196,7 @@ Status AnnotateRoundFailure(const std::string& round_name,
 // covers. Returns the round error when degradation is disallowed or no
 // input point survives.
 Status ApplyRoundDegradation(const std::string& round_name,
-                             const std::vector<PointSet>& parts,
+                             const std::vector<std::vector<uint32_t>>& blocks,
                              const RoundOutcome& outcome, bool allow_degraded,
                              std::optional<DegradedResult>* degraded) {
   if (outcome.ok()) return OkStatus();
@@ -172,8 +209,8 @@ Status ApplyRoundDegradation(const std::string& round_name,
   }
   size_t total = 0;
   size_t lost = 0;
-  for (const PointSet& p : parts) total += p.size();
-  for (size_t f : outcome.failed_tasks) lost += parts[f].size();
+  for (const std::vector<uint32_t>& b : blocks) total += b.size();
+  for (size_t f : outcome.failed_tasks) lost += blocks[f].size();
   if (total > 0 && lost >= total) {
     return DataLossError("round '" + round_name +
                          "': every input point was in a permanently failed "
@@ -240,6 +277,14 @@ CoresetSpec MapReduceDiversity::MakeCoresetSpec(size_t part_size,
   return spec;
 }
 
+std::vector<std::vector<uint32_t>> MapReduceDiversity::PartitionInput(
+    const Dataset& data, size_t num_parts, uint64_t seed) const {
+  // Reducers read the rows' retained points (PartitionRef).
+  DIVERSE_CHECK_EQ(data.points().size(), data.size());
+  return PartitionRows(data.points(), num_parts, options_.partition, seed,
+                       metric_);
+}
+
 FallibleRoundOptions MapReduceDiversity::ExecPolicy() const {
   FallibleRoundOptions exec;
   exec.max_attempts = options_.max_retries + 1;
@@ -251,45 +296,37 @@ FallibleRoundOptions MapReduceDiversity::ExecPolicy() const {
 
 Status MapReduceDiversity::CoresetRound(
     MapReduceSimulator* sim, CommunicationEngine* engine,
-    const std::string& round_name, const std::vector<PointSet>& parts,
-    size_t input_size, std::vector<PointSet>* coresets,
+    const std::string& round_name, const Dataset& data,
+    const std::vector<std::vector<uint32_t>>& blocks, size_t input_size,
+    std::vector<PointSet>* coresets,
     std::optional<DegradedResult>* degraded) const {
-  coresets->assign(parts.size(), PointSet{});
-  const std::vector<uint64_t> part_keys = PartitionCacheKeys(*engine, parts);
+  coresets->assign(blocks.size(), PointSet{});
+  const std::vector<uint64_t> part_keys =
+      PartitionCacheKeys(*engine, data, blocks);
   RoundOutcome outcome = sim->RunFallibleRound(
-      round_name, parts.size(),
+      round_name, blocks.size(),
       [&](const MrTaskContext& ctx, std::function<void()>* commit) -> Status {
         const size_t i = ctx.task;
-        // A corrupted-partition fault scrambles this attempt's local copy of
-        // the input; the pristine partition is re-read on retry, which is
-        // why detection (below) plus re-execution recovers exactly.
-        const PointSet* in = &parts[i];
-        PointSet corrupted;
-        if (ctx.fault == FaultKind::kCorruptPartition && !parts[i].empty()) {
-          corrupted = parts[i];
-          GarbleOne(&corrupted, ctx.fault_param);
-          in = &corrupted;
-        }
-        DIVERSE_RETURN_IF_ERROR(
-            ValidateFinitePoints("input partition", round_name, i, *in));
+        const PartitionRef part{data, blocks[i]};
+        DIVERSE_RETURN_IF_ERROR(ValidateTaskInput(round_name, ctx, part));
         StatusOr<PointSet> cs_or = engine->Coreset(
             MakeEnvelope(round_name, ctx,
                          part_keys.empty() ? 0 : part_keys[i]),
-            *in, MakeCoresetSpec(in->size(), input_size));
+            part, MakeCoresetSpec(part.size(), input_size));
         if (!cs_or.ok()) return cs_or.status();
         PointSet cs = std::move(*cs_or);
         if (ctx.fault == FaultKind::kEmptyOutput) cs.clear();
         if (ctx.fault == FaultKind::kWrongOutput) GarbleOne(&cs, ctx.fault_param);
         DIVERSE_RETURN_IF_ERROR(
-            ValidateCoresetOutput(round_name, i, cs, parts[i].size()));
+            ValidateCoresetOutput(round_name, i, cs, part.size()));
         *commit = [coresets, i, out = std::move(cs)]() mutable {
           (*coresets)[i] = std::move(out);
         };
         return OkStatus();
       },
-      ExecPolicy(), [&](size_t i) { return parts[i].size(); },
+      ExecPolicy(), [&](size_t i) { return blocks[i].size(); },
       [&](size_t i) { return (*coresets)[i].size(); });
-  return ApplyRoundDegradation(round_name, parts, outcome,
+  return ApplyRoundDegradation(round_name, blocks, outcome,
                                options_.allow_degraded, degraded);
 }
 
@@ -346,7 +383,7 @@ Status MapReduceDiversity::TreeReduce(MapReduceSimulator* sim,
   return OkStatus();
 }
 
-StatusOr<MrResult> MapReduceDiversity::TryRun(const PointSet& input) const {
+StatusOr<MrResult> MapReduceDiversity::TryRun(const Dataset& input) const {
   Timer total;
   MrResult result;
   MapReduceSimulator sim(options_.num_workers);
@@ -354,16 +391,15 @@ StatusOr<MrResult> MapReduceDiversity::TryRun(const PointSet& input) const {
   CommunicationEngine* engine =
       options_.engine != nullptr ? options_.engine : &fallback;
 
-  std::vector<PointSet> parts =
-      PartitionPoints(input, options_.num_partitions, options_.partition,
-                      options_.seed, metric_);
+  const std::vector<std::vector<uint32_t>> blocks =
+      PartitionInput(input, options_.num_partitions, options_.seed);
 
   // Round 1: one reducer per partition computes its composable core-set.
   // Permanently failed partitions are dropped here (their core-set slot
   // stays empty) and accounted in `degraded`.
   std::vector<PointSet> coresets;
   std::optional<DegradedResult> degraded;
-  DIVERSE_RETURN_IF_ERROR(CoresetRound(&sim, engine, "coreset", parts,
+  DIVERSE_RETURN_IF_ERROR(CoresetRound(&sim, engine, "coreset", input, blocks,
                                        input.size(), &coresets, &degraded));
 
   // Optional reduce rounds: collapse the core-set list through a binary
@@ -431,7 +467,7 @@ StatusOr<MrResult> MapReduceDiversity::TryRun(const PointSet& input) const {
 }
 
 StatusOr<MrResult> MapReduceDiversity::TryRunGeneralized(
-    const PointSet& input) const {
+    const Dataset& input) const {
   DIVERSE_CHECK(RequiresInjectiveProxies(problem_));
   Timer total;
   MrResult result;
@@ -440,9 +476,8 @@ StatusOr<MrResult> MapReduceDiversity::TryRunGeneralized(
   CommunicationEngine* engine =
       options_.engine != nullptr ? options_.engine : &fallback;
 
-  std::vector<PointSet> parts =
-      PartitionPoints(input, options_.num_partitions, options_.partition,
-                      options_.seed, metric_);
+  const std::vector<std::vector<uint32_t>> blocks =
+      PartitionInput(input, options_.num_partitions, options_.seed);
 
   // Round 1: GMM-GEN per partition; keep each kernel's range so the
   // instantiation radius r_T = max_i r_{T_i} is known. Failed partitions are
@@ -450,31 +485,25 @@ StatusOr<MrResult> MapReduceDiversity::TryRunGeneralized(
   // One fingerprint pass serves both partition-shipping rounds (1 and 3):
   // the instantiate round's by-ref requests hit the partitions the
   // gen-coreset round already shipped into the worker caches.
-  const std::vector<uint64_t> part_keys = PartitionCacheKeys(*engine, parts);
-  std::vector<GeneralizedCoreset> gens(parts.size());
-  std::vector<double> ranges(parts.size(), 0.0);
+  const std::vector<uint64_t> part_keys =
+      PartitionCacheKeys(*engine, input, blocks);
+  std::vector<GeneralizedCoreset> gens(blocks.size());
+  std::vector<double> ranges(blocks.size(), 0.0);
   RoundOutcome gen_round = sim.RunFallibleRound(
-      "gen-coreset", parts.size(),
+      "gen-coreset", blocks.size(),
       [&](const MrTaskContext& ctx, std::function<void()>* commit) -> Status {
         const size_t i = ctx.task;
-        if (parts[i].empty()) {
+        const PartitionRef part{input, blocks[i]};
+        if (part.empty()) {
           *commit = [] {};  // empty core-set, range stays 0
           return OkStatus();
         }
-        const PointSet* in = &parts[i];
-        PointSet corrupted;
-        if (ctx.fault == FaultKind::kCorruptPartition) {
-          corrupted = parts[i];
-          GarbleOne(&corrupted, ctx.fault_param);
-          in = &corrupted;
-        }
-        DIVERSE_RETURN_IF_ERROR(
-            ValidateFinitePoints("input partition", "gen-coreset", i, *in));
-        size_t k_prime = std::min(options_.k_prime, in->size());
+        DIVERSE_RETURN_IF_ERROR(ValidateTaskInput("gen-coreset", ctx, part));
+        size_t k_prime = std::min(options_.k_prime, part.size());
         StatusOr<GenCoresetResult> gen_or = engine->GenCoreset(
             MakeEnvelope("gen-coreset", ctx,
                          part_keys.empty() ? 0 : part_keys[i]),
-            *in, options_.k, k_prime);
+            part, options_.k, k_prime);
         if (!gen_or.ok()) return gen_or.status();
         GeneralizedCoreset gen = std::move(gen_or->gen);
         double range = gen_or->range;
@@ -504,12 +533,12 @@ StatusOr<MrResult> MapReduceDiversity::TryRunGeneralized(
         };
         return OkStatus();
       },
-      ExecPolicy(), [&](size_t i) { return parts[i].size(); },
+      ExecPolicy(), [&](size_t i) { return blocks[i].size(); },
       [&](size_t i) { return gens[i].size(); });
   std::optional<DegradedResult> degraded;
   DIVERSE_RETURN_IF_ERROR(ApplyRoundDegradation(
-      "gen-coreset", parts, gen_round, options_.allow_degraded, &degraded));
-  std::vector<bool> part_failed(parts.size(), false);
+      "gen-coreset", blocks, gen_round, options_.allow_degraded, &degraded));
+  std::vector<bool> part_failed(blocks.size(), false);
   for (size_t f : gen_round.failed_tasks) part_failed[f] = true;
   double r_t = *std::max_element(ranges.begin(), ranges.end());
 
@@ -559,16 +588,16 @@ StatusOr<MrResult> MapReduceDiversity::TryRunGeneralized(
   // are disjoint, so per-partition instantiations are globally disjoint.
   // Every selected kernel point came from a surviving partition's core-set,
   // so skipping failed partitions still assigns every entry.
-  std::vector<GeneralizedCoreset> per_part(parts.size());
+  std::vector<GeneralizedCoreset> per_part(blocks.size());
   {
     std::vector<bool> assigned(selected.size(), false);
-    for (size_t i = 0; i < parts.size(); ++i) {
+    for (size_t i = 0; i < blocks.size(); ++i) {
       if (part_failed[i]) continue;
       for (size_t e = 0; e < selected.size(); ++e) {
         if (assigned[e]) continue;
         const Point& p = selected.entries()[e].point;
-        for (const Point& q : parts[i]) {
-          if (q == p) {
+        for (uint32_t row : blocks[i]) {
+          if (input.point(row) == p) {
             per_part[i].Add(p, selected.entries()[e].multiplicity);
             assigned[e] = true;
             break;
@@ -578,28 +607,21 @@ StatusOr<MrResult> MapReduceDiversity::TryRunGeneralized(
     }
     for (size_t e = 0; e < selected.size(); ++e) DIVERSE_CHECK(assigned[e]);
   }
-  std::vector<PointSet> instantiated(parts.size());
+  std::vector<PointSet> instantiated(blocks.size());
   RoundOutcome inst_round = sim.RunFallibleRound(
-      "instantiate", parts.size(),
+      "instantiate", blocks.size(),
       [&](const MrTaskContext& ctx, std::function<void()>* commit) -> Status {
         const size_t i = ctx.task;
         if (per_part[i].size() == 0) {
           *commit = [] {};
           return OkStatus();
         }
-        const PointSet* in = &parts[i];
-        PointSet corrupted;
-        if (ctx.fault == FaultKind::kCorruptPartition) {
-          corrupted = parts[i];
-          GarbleOne(&corrupted, ctx.fault_param);
-          in = &corrupted;
-        }
-        DIVERSE_RETURN_IF_ERROR(
-            ValidateFinitePoints("input partition", "instantiate", i, *in));
+        const PartitionRef part{input, blocks[i]};
+        DIVERSE_RETURN_IF_ERROR(ValidateTaskInput("instantiate", ctx, part));
         StatusOr<PointSet> inst_or = engine->Instantiate(
             MakeEnvelope("instantiate", ctx,
                          part_keys.empty() ? 0 : part_keys[i]),
-            per_part[i], *in, r_t);
+            per_part[i], part.Gather(), r_t);
         if (!inst_or.ok()) return inst_or.status();
         PointSet inst = std::move(*inst_or);
         if (ctx.fault == FaultKind::kEmptyOutput) inst.clear();
@@ -620,7 +642,7 @@ StatusOr<MrResult> MapReduceDiversity::TryRunGeneralized(
         };
         return OkStatus();
       },
-      ExecPolicy(), [&](size_t i) { return parts[i].size(); },
+      ExecPolicy(), [&](size_t i) { return blocks[i].size(); },
       [&](size_t i) { return instantiated[i].size(); });
   // Losing an instantiation loses selected solution points outright — the
   // result would silently be smaller than k, so this round never degrades.
@@ -643,7 +665,7 @@ StatusOr<MrResult> MapReduceDiversity::TryRunGeneralized(
 }
 
 StatusOr<MrResult> MapReduceDiversity::TryRunRecursive(
-    const PointSet& input, size_t local_memory_budget) const {
+    const Dataset& input, size_t local_memory_budget) const {
   DIVERSE_CHECK_GE(local_memory_budget, options_.k_prime);
   Timer total;
   MrResult result;
@@ -652,35 +674,38 @@ StatusOr<MrResult> MapReduceDiversity::TryRunRecursive(
   CommunicationEngine* engine =
       options_.engine != nullptr ? options_.engine : &fallback;
 
-  PointSet current = input;
+  // Level 0 partitions the input itself; every later level partitions the
+  // previous level's aggregated core-sets, laid out in `aggregate`.
+  const Dataset* current = &input;
+  Dataset aggregate;
   std::optional<DegradedResult> degraded;
   int level = 0;
   // Compress through core-set rounds until one reducer can hold everything.
   // Degradation applies at every level; the certificate's survival fraction
   // is the product over levels.
-  while (current.size() > local_memory_budget) {
+  while (current->size() > local_memory_budget) {
     size_t parts_needed =
-        (current.size() + local_memory_budget - 1) / local_memory_budget;
-    std::vector<PointSet> parts =
-        PartitionPoints(current, parts_needed, options_.partition,
-                        options_.seed + static_cast<uint64_t>(level), metric_);
+        (current->size() + local_memory_budget - 1) / local_memory_budget;
+    const std::vector<std::vector<uint32_t>> blocks = PartitionInput(
+        *current, parts_needed, options_.seed + static_cast<uint64_t>(level));
     std::vector<PointSet> coresets;
-    DIVERSE_RETURN_IF_ERROR(
-        CoresetRound(&sim, engine, "coreset-l" + std::to_string(level), parts,
-                     input.size(), &coresets, &degraded));
+    DIVERSE_RETURN_IF_ERROR(CoresetRound(
+        &sim, engine, "coreset-l" + std::to_string(level), *current, blocks,
+        input.size(), &coresets, &degraded));
     PointSet next;
     for (PointSet& c : coresets) {
       next.insert(next.end(), c.begin(), c.end());
     }
     // Guard against non-progress (budget too tight for k' per part).
-    if (next.size() >= current.size()) {
+    if (next.size() >= current->size()) {
       return FailedPreconditionError(
           "recursive compression made no progress at level " +
           std::to_string(level) + " (" + std::to_string(next.size()) + " of " +
-          std::to_string(current.size()) +
+          std::to_string(current->size()) +
           " points remain); raise the local memory budget");
     }
-    current = std::move(next);
+    aggregate = Dataset(std::move(next));
+    current = &aggregate;
     ++level;
   }
 
@@ -688,7 +713,7 @@ StatusOr<MrResult> MapReduceDiversity::TryRunRecursive(
   RoundOutcome solve = sim.RunFallibleRound(
       "solve", 1,
       [&](const MrTaskContext& ctx, std::function<void()>* commit) -> Status {
-        PointSet local = current;
+        PointSet local = current->points();
         if (ctx.fault == FaultKind::kCorruptPartition) {
           GarbleOne(&local, ctx.fault_param);
         }
@@ -713,13 +738,13 @@ StatusOr<MrResult> MapReduceDiversity::TryRunRecursive(
         };
         return OkStatus();
       },
-      ExecPolicy(), [&](size_t) { return current.size(); },
+      ExecPolicy(), [&](size_t) { return current->size(); },
       [&](size_t) { return solution.size(); });
   if (!solve.ok()) return AnnotateRoundFailure("solve", solve.first_error);
 
   result.solution = std::move(solution);
   result.diversity = EvaluateDiversity(problem_, result.solution, *metric_);
-  result.coreset_size = current.size();
+  result.coreset_size = current->size();
   if (degraded.has_value()) {
     degraded->approx_factor = 2.0 * SequentialAlpha(problem_);
     result.degraded = std::move(degraded);
@@ -741,6 +766,20 @@ MrResult UnwrapOrDie(StatusOr<MrResult> result) {
 }
 
 }  // namespace
+
+StatusOr<MrResult> MapReduceDiversity::TryRun(const PointSet& input) const {
+  return TryRun(Dataset::FromPoints(input));
+}
+
+StatusOr<MrResult> MapReduceDiversity::TryRunGeneralized(
+    const PointSet& input) const {
+  return TryRunGeneralized(Dataset::FromPoints(input));
+}
+
+StatusOr<MrResult> MapReduceDiversity::TryRunRecursive(
+    const PointSet& input, size_t local_memory_budget) const {
+  return TryRunRecursive(Dataset::FromPoints(input), local_memory_budget);
+}
 
 MrResult MapReduceDiversity::Run(const PointSet& input) const {
   return UnwrapOrDie(TryRun(input));

@@ -17,6 +17,12 @@
 //                        core-sets until the aggregate fits the local memory
 //                        budget.
 //
+// Every driver partitions its input Dataset as row-index blocks
+// (PartitionRows) and hands each round-1 reducer a PartitionRef row view;
+// the reducer gathers its rows inside its own task, so the driver's serial
+// path copies no input point. The PointSet entry points wrap their input
+// into a Dataset once and run the same path.
+//
 // Every driver executes its rounds on the fault-tolerant executor
 // (MapReduceSimulator::RunFallibleRound): reducer attempts validate their
 // inputs and outputs, failed attempts retry up to MrOptions::max_retries
@@ -46,38 +52,8 @@
 #include "mapreduce/mapreduce.h"
 #include "mapreduce/partitioner.h"
 #include "util/status.h"
-#include "util/thread_annotations.h"
 
 namespace diverse {
-
-/// A free-list of scratch `Dataset`s shared by the reducers of one MapReduce
-/// run: each reducer acquires a scratch, Assign()s its partition into it
-/// (reusing the columnar array capacity from earlier partitions/rounds) and
-/// returns it, instead of constructing a fresh Dataset per partition. At
-/// most one scratch exists per concurrently running reducer.
-class DatasetScratchPool {
- public:
-  /// Pops a cleared scratch (or default-constructs one). Thread-safe:
-  /// called concurrently by every reducer attempt of a round.
-  Dataset Acquire() DIVERSE_EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    if (free_.empty()) return Dataset();
-    Dataset d = std::move(free_.back());
-    free_.pop_back();
-    return d;
-  }
-
-  /// Clears `d` (keeping capacity) and returns it to the free list.
-  void Release(Dataset d) DIVERSE_EXCLUDES(mu_) {
-    d.Clear();
-    MutexLock lock(&mu_);
-    free_.push_back(std::move(d));
-  }
-
- private:
-  Mutex mu_;
-  std::vector<Dataset> free_ DIVERSE_GUARDED_BY(mu_);
-};
 
 /// Configuration of a MapReduce diversity run.
 struct MrOptions {
@@ -208,18 +184,24 @@ class MapReduceDiversity {
   /// task failures by bounded re-execution, degrades on permanent round-1
   /// partition loss (if allowed), and returns an error Status when the run
   /// cannot produce a certified result (aggregator failure, every partition
-  /// lost, or degradation disallowed).
-  StatusOr<MrResult> TryRun(const PointSet& input) const;
+  /// lost, or degradation disallowed). `input` must retain its points.
+  StatusOr<MrResult> TryRun(const Dataset& input) const;
 
   /// 3-round generalized-core-set algorithm (Theorem 10). Requires an
   /// injective-proxy problem. Degradation applies to round 1 only; round-2
   /// solve and round-3 instantiation failures are fatal.
-  StatusOr<MrResult> TryRunGeneralized(const PointSet& input) const;
+  StatusOr<MrResult> TryRunGeneralized(const Dataset& input) const;
 
   /// Multi-round recursion (Theorem 8): keeps compressing through rounds of
   /// composable core-sets until the aggregate has at most
   /// `local_memory_budget` points, then solves sequentially. Degradation
   /// applies at every compression level.
+  StatusOr<MrResult> TryRunRecursive(const Dataset& input,
+                                     size_t local_memory_budget) const;
+
+  /// Shims: copy `input` into a Dataset once and run the Dataset overload.
+  StatusOr<MrResult> TryRun(const PointSet& input) const;
+  StatusOr<MrResult> TryRunGeneralized(const PointSet& input) const;
   StatusOr<MrResult> TryRunRecursive(const PointSet& input,
                                      size_t local_memory_budget) const;
 
@@ -238,18 +220,25 @@ class MapReduceDiversity {
   // the Theorem-7 delegate cap). Executed by the engine.
   CoresetSpec MakeCoresetSpec(size_t part_size, size_t input_size) const;
 
+  // Row blocks of `data` for one core-set round, per the configured
+  // strategy and `seed`.
+  std::vector<std::vector<uint32_t>> PartitionInput(const Dataset& data,
+                                                    size_t num_parts,
+                                                    uint64_t seed) const;
+
   // The executor policy derived from options_.
   FallibleRoundOptions ExecPolicy() const;
 
-  // Runs one fallible core-set round over `parts` on `engine`, committing
-  // into `coresets` (resized to parts.size()). On permanent task failures:
-  // degrades (drops the partitions, accumulating the certificate into
-  // `*degraded`) when allowed, else returns the error. `round_name`
-  // distinguishes recursion levels.
+  // Runs one fallible core-set round over the row blocks `blocks` of
+  // `data` on `engine`, committing into `coresets` (resized to
+  // blocks.size()). On permanent task failures: degrades (drops the
+  // partitions, accumulating the certificate into `*degraded`) when
+  // allowed, else returns the error. `round_name` distinguishes recursion
+  // levels.
   Status CoresetRound(MapReduceSimulator* sim, CommunicationEngine* engine,
-                      const std::string& round_name,
-                      const std::vector<PointSet>& parts, size_t input_size,
-                      std::vector<PointSet>* coresets,
+                      const std::string& round_name, const Dataset& data,
+                      const std::vector<std::vector<uint32_t>>& blocks,
+                      size_t input_size, std::vector<PointSet>* coresets,
                       std::optional<DegradedResult>* degraded) const;
 
   // Collapses `coresets` to a single aggregate via fallible

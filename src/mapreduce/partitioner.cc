@@ -1,6 +1,8 @@
 #include "mapreduce/partitioner.h"
 
 #include <algorithm>
+#include <cstddef>
+#include <cstdint>
 #include <numeric>
 
 #include "util/check.h"
@@ -32,18 +34,18 @@ bool LexLess(const Point& a, const Point& b) {
 
 }  // namespace
 
-std::vector<PointSet> PartitionPoints(std::span<const Point> points,
-                                      size_t num_parts,
-                                      PartitionStrategy strategy,
-                                      uint64_t seed, const Metric* metric) {
+std::vector<std::vector<uint32_t>> PartitionRows(
+    std::span<const Point> points, size_t num_parts, PartitionStrategy strategy,
+    uint64_t seed, const Metric* metric) {
   size_t n = points.size();
   DIVERSE_CHECK_GE(num_parts, 1u);
-  // num_parts may exceed n (including n == 0): the first n parts receive one
-  // point each and the tail parts stay empty. Callers distributing work to a
-  // fixed reducer fleet rely on always getting num_parts parts back.
+  DIVERSE_CHECK_LE(n, size_t{UINT32_MAX});
+  // num_parts may exceed n (including n == 0): the first n blocks receive
+  // one row each and the tail blocks stay empty. Callers distributing work
+  // to a fixed reducer fleet rely on always getting num_parts blocks back.
 
-  std::vector<size_t> order(n);
-  std::iota(order.begin(), order.end(), 0);
+  std::vector<uint32_t> order(n);
+  std::iota(order.begin(), order.end(), uint32_t{0});
 
   switch (strategy) {
     case PartitionStrategy::kChunked:
@@ -58,9 +60,10 @@ std::vector<PointSet> PartitionPoints(std::span<const Point> points,
     case PartitionStrategy::kAdversarial: {
       if (points.empty()) break;  // nothing to sort; no pivot to read
       if (!points[0].is_sparse()) {
-        std::sort(order.begin(), order.end(), [&points](size_t a, size_t b) {
-          return LexLess(points[a], points[b]);
-        });
+        std::sort(order.begin(), order.end(),
+                  [&points](uint32_t a, uint32_t b) {
+                    return LexLess(points[a], points[b]);
+                  });
       } else {
         DIVERSE_CHECK(metric != nullptr);
         // Scalar pivot-distance sweep: a one-shot columnar re-layout would
@@ -71,25 +74,37 @@ std::vector<PointSet> PartitionPoints(std::span<const Point> points,
           key[i] = metric->Distance(points[i], pivot);
         }
         std::sort(order.begin(), order.end(),
-                  [&key](size_t a, size_t b) { return key[a] < key[b]; });
+                  [&key](uint32_t a, uint32_t b) { return key[a] < key[b]; });
       }
       break;
     }
   }
 
   // Split `order` into num_parts blocks whose sizes differ by at most one.
-  std::vector<PointSet> parts(num_parts);
+  std::vector<std::vector<uint32_t>> blocks(num_parts);
   size_t base = n / num_parts;
   size_t extra = n % num_parts;
-  size_t pos = 0;
+  auto pos = order.begin();
   for (size_t p = 0; p < num_parts; ++p) {
-    size_t len = base + (p < extra ? 1 : 0);
-    parts[p].reserve(len);
-    for (size_t i = 0; i < len; ++i) {
-      parts[p].push_back(points[order[pos++]]);
-    }
+    const size_t len = base + (p < extra ? 1 : 0);
+    blocks[p].assign(pos, pos + static_cast<std::ptrdiff_t>(len));
+    pos += static_cast<std::ptrdiff_t>(len);
   }
-  DIVERSE_CHECK_EQ(pos, n);
+  DIVERSE_CHECK(pos == order.end());
+  return blocks;
+}
+
+std::vector<PointSet> PartitionPoints(std::span<const Point> points,
+                                      size_t num_parts,
+                                      PartitionStrategy strategy,
+                                      uint64_t seed, const Metric* metric) {
+  const std::vector<std::vector<uint32_t>> blocks =
+      PartitionRows(points, num_parts, strategy, seed, metric);
+  std::vector<PointSet> parts(blocks.size());
+  for (size_t p = 0; p < blocks.size(); ++p) {
+    parts[p].reserve(blocks[p].size());
+    for (uint32_t row : blocks[p]) parts[p].push_back(points[row]);
+  }
   return parts;
 }
 

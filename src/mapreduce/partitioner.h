@@ -36,13 +36,26 @@ enum class PartitionStrategy : uint8_t {
 /// Short name, e.g. "random".
 std::string PartitionStrategyName(PartitionStrategy strategy);
 
-/// Splits `points` into `num_parts` subsets of (near-)equal size according
-/// to `strategy`. `metric` is needed only for kAdversarial on sparse points;
-/// it may be null otherwise. Requires num_parts >= 1. When num_parts exceeds
-/// points.size() (including an empty input), exactly num_parts parts are
-/// still returned: the first points.size() hold one point each and the tail
-/// parts are empty — reducers tolerate empty inputs, so a fixed fleet size
-/// never crashes on a small round.
+/// Splits the rows of `points` into `num_parts` blocks of (near-)equal size
+/// according to `strategy`, returning each block as the row indices it
+/// holds (block p is the p-th entry, rows in block order). This is the
+/// logical assignment round 1 of the MapReduce algorithms needs: the
+/// drivers hand each reducer a row view of the input and the reducer
+/// gathers its rows itself, so no point is copied on the driver's serial
+/// path. `metric` is needed only for kAdversarial on sparse points; it may
+/// be null otherwise. Requires num_parts >= 1 and fewer than 2^32 points.
+/// When num_parts exceeds points.size() (including an empty input),
+/// exactly num_parts blocks are still returned: the first points.size()
+/// hold one row each and the tail blocks are empty — reducers tolerate
+/// empty inputs, so a fixed fleet size never crashes on a small round.
+std::vector<std::vector<uint32_t>> PartitionRows(
+    std::span<const Point> points, size_t num_parts, PartitionStrategy strategy,
+    uint64_t seed, const Metric* metric = nullptr);
+
+/// PartitionRows with each block gathered into its own PointSet: the same
+/// blocks, in the same order, as value-typed copies. For callers that need
+/// owned partitions (the AFZ baseline, tests, benchmarks); the CPPU drivers
+/// work on the row blocks.
 std::vector<PointSet> PartitionPoints(std::span<const Point> points,
                                       size_t num_parts,
                                       PartitionStrategy strategy,

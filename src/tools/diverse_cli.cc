@@ -235,13 +235,16 @@ int RunSolve(const CliFlags& flags) {
     return 1;
   }
 
-  StatusOr<SolveResult> solved = TrySolve(*points, *metric, opts);
+  // Move (not copy) the parsed points into the Dataset: the MapReduce
+  // backends partition it as row views and gather inside their reducers.
+  const Dataset data(std::move(*points));
+  StatusOr<SolveResult> solved = TrySolve(data, *metric, opts);
   if (!solved.ok()) {
     std::fprintf(stderr, "error: %s\n", solved.status().ToString().c_str());
     return 1;
   }
   SolveResult result = std::move(*solved);
-  std::printf("n:          %zu\n", points->size());
+  std::printf("n:          %zu\n", data.size());
   std::printf("problem:    %s\n", ProblemName(*problem).c_str());
   std::printf("backend:    %s\n", BackendName(backend).c_str());
   if (socket_engine != nullptr) {

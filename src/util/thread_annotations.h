@@ -1,13 +1,13 @@
 // Clang thread-safety capability annotations + an annotated mutex stack.
 //
 // The locking contracts of the concurrent subsystems (ThreadPool's task
-// arena, the fallible MapReduce round state, DatasetScratchPool, the global
-// pool/toggle singletons) are declared with Clang's thread-safety attributes
-// so `-Wthread-safety -Werror` proves them at compile time — the same
-// certified-at-the-source philosophy the screening tiers apply to numerics.
-// Under compilers without the analysis (g++) every macro expands to nothing
-// and the wrappers below compile to exactly std::mutex /
-// std::condition_variable code.
+// arena, the fallible MapReduce round state, the loopback engine's scratch
+// pool, the global pool/toggle singletons) are declared with Clang's
+// thread-safety attributes so `-Wthread-safety -Werror` proves them at
+// compile time — the same certified-at-the-source philosophy the
+// screening tiers apply to numerics. Under compilers without the analysis
+// (g++) every macro expands to nothing and the wrappers below compile to
+// exactly std::mutex / std::condition_variable code.
 //
 // Conventions (enforced by the `analyze` CI job, see README "Static
 // analysis & concurrency contracts"):

@@ -16,6 +16,7 @@
 #include "comm/net_io.h"
 #include "comm/serialize.h"
 #include "comm/worker_core.h"
+#include "core/dataset.h"
 #include "core/point.h"
 #include "util/status.h"
 
@@ -70,6 +71,49 @@ TEST(FingerprintTest, DistinguishesDenseFromSparseAndNeverReturnsZero) {
   EXPECT_NE(FingerprintPoints(dense), FingerprintPoints(sparse));
   // 0 is the "untagged" wire sentinel; the empty set must not produce it.
   EXPECT_NE(FingerprintPoints(PointSet{}), 0u);
+}
+
+// The drivers key a row-view partition without gathering it
+// (FingerprintRows); the worker verifies the shipped, gathered points
+// against that key. The two stamps must agree for dense, sparse and empty
+// partitions, whatever rows the view picks and in whatever order.
+TEST(FingerprintTest, RowViewKeyEqualsGatheredPartitionKey) {
+  PointSet sparse_points;
+  for (uint32_t i = 0; i < 9; ++i) {
+    sparse_points.push_back(Point::Sparse(
+        {i % 3, 4 + i}, {0.5f + static_cast<float>(i), -1.0f}, 20));
+  }
+  const Dataset dense = Dataset::FromPoints(MakePoints(12, 2.0f));
+  const Dataset sparse = Dataset::FromPoints(sparse_points);
+  const std::vector<uint32_t> picks = {7, 2, 5, 0, 8};
+  const std::vector<uint32_t> none;
+  for (const Dataset* data : {&dense, &sparse}) {
+    for (const std::vector<uint32_t>* rows : {&picks, &none}) {
+      PointSet gathered;
+      for (uint32_t r : *rows) gathered.push_back(data->point(r));
+      EXPECT_EQ(FingerprintRows(*data, *rows), FingerprintPoints(gathered));
+    }
+  }
+  EXPECT_NE(FingerprintRows(dense, picks), FingerprintRows(sparse, picks));
+
+  // A request keyed by the row view passes the worker's verification of
+  // the gathered points it ships.
+  PointSet gathered;
+  for (uint32_t r : picks) gathered.push_back(dense.point(r));
+  WorkerPartitionCache cache(size_t{1} << 20);
+  WireRequest req;
+  req.type = WireTaskType::kSolve;
+  req.metric = "euclidean";
+  req.round = "solve";
+  req.k = 2;
+  req.points = gathered;
+  req.cache_insert = true;
+  req.points_fingerprint = FingerprintRows(dense, picks);
+  StatusOr<WireReply> reply =
+      TryDecodeWireReply(ExecuteWireTask(EncodeWireRequest(req), &cache));
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  EXPECT_TRUE(reply->status.ok()) << reply->status.ToString();
+  EXPECT_EQ(cache.entries(), 1u);
 }
 
 // ---------------------------------------------------------------------------

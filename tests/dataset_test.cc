@@ -1,5 +1,7 @@
 #include "core/dataset.h"
 
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "data/sparse_text.h"
@@ -119,6 +121,46 @@ TEST(DatasetTest, MemoryBytesCoversColumnarArrays) {
   // At least the raw coordinate storage (row-major floats) twice: once in
   // the points, once columnar.
   EXPECT_GT(data.MemoryBytes(), 2 * 100 * 8 * sizeof(float));
+}
+
+// AssignGather is the one gather routine: with points it must be
+// indistinguishable from Assign() of the same points (rows, norms,
+// statistics, retained points); without, the columnar content is the same
+// and no point is retained. Rows may repeat and come in any order; the
+// destination's previous content and capacity are irrelevant.
+TEST(DatasetTest, AssignGatherMatchesAssignOfSamePoints) {
+  const PointSet pts = MixedPoints(30, 7, /*seed=*/8);
+  const Dataset src = Dataset::FromPoints(pts);
+  const std::vector<uint32_t> rows = {29, 3, 3, 0, 17, 8, 22, 1};
+  PointSet picked;
+  for (uint32_t r : rows) picked.push_back(pts[r]);
+  const Dataset want = Dataset::FromPoints(picked);
+  for (bool with_points : {true, false}) {
+    SCOPED_TRACE(with_points ? "with points" : "columnar only");
+    Dataset got = Dataset::FromPoints(MixedPoints(5, 7, /*seed=*/9));
+    got.AssignGather(src, rows, with_points);
+    ASSERT_EQ(got.size(), want.size());
+    EXPECT_EQ(got.dim(), want.dim());
+    EXPECT_EQ(got.points().size(), with_points ? rows.size() : 0u);
+    for (size_t i = 0; i < rows.size(); ++i) {
+      if (with_points) EXPECT_EQ(got.point(i), want.point(i));
+      ASSERT_EQ(got.row_is_sparse(i), want.row_is_sparse(i));
+      const kernels::VecView a = got.row(i);
+      const kernels::VecView b = want.row(i);
+      ASSERT_EQ(a.nnz, b.nnz);
+      EXPECT_EQ(a.norm, b.norm);
+      for (size_t j = 0; j < a.nnz; ++j) {
+        EXPECT_EQ(a.values[j], b.values[j]);
+        if (a.sparse) EXPECT_EQ(a.indices[j], b.indices[j]);
+      }
+    }
+    EXPECT_EQ(got.sparse_stats().rows, want.sparse_stats().rows);
+    EXPECT_EQ(got.sparse_stats().total_nnz, want.sparse_stats().total_nnz);
+    EXPECT_EQ(got.sparse_stats().max_nnz, want.sparse_stats().max_nnz);
+    EXPECT_EQ(got.screen_stats().min_positive_norm,
+              want.screen_stats().min_positive_norm);
+    EXPECT_EQ(got.screen_stats().max_norm, want.screen_stats().max_norm);
+  }
 }
 
 TEST(DatasetDeathTest, RejectsMismatchedDimensions) {

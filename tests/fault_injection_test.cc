@@ -11,6 +11,8 @@
 #include <gtest/gtest.h>
 
 #include "api/solve.h"
+#include "comm/socket_engine.h"
+#include "core/dataset.h"
 #include "core/metric.h"
 #include "data/synthetic.h"
 #include "mapreduce/fault_injector.h"
@@ -426,6 +428,62 @@ TEST(FaultInjectionTest, TrySolveSurfacesDegradedCertificate) {
   o.allow_degraded = false;
   StatusOr<SolveResult> strict = TrySolve(pts, m, o);
   EXPECT_FALSE(strict.ok());
+}
+
+// The data faults of the existing cases, through TrySolve(Dataset) — the
+// row-view path where a reducer gathers its own rows — on loopback and on
+// the socket transport. A corrupted partition garbles only the attempt's
+// in-task copy, so the retry re-reads pristine rows; garbled core-sets,
+// generalized core-sets and solutions are caught by output validation.
+// Every run must recover to the fault-free loopback answer bit for bit.
+TEST(FaultInjectionTest, TrySolveDatasetRecoversDataFaultsOnEveryEngine) {
+  EuclideanMetric m;
+  const Dataset data(GenerateUniformCube(600, 3, /*seed=*/31));
+  SocketEngineOptions so;
+  so.num_workers = 2;
+  so.metric = "euclidean";
+  so.problem = DiversityProblem::kRemoteClique;
+  so.rpc_deadline_ms = 20000;
+  SocketEngine socket(so);
+  ASSERT_TRUE(socket.Healthy().ok()) << socket.Healthy().ToString();
+
+  struct Case {
+    Backend backend;
+    const char* spec;
+  };
+  for (const Case& c :
+       {Case{Backend::kMapReduce,
+             "coreset:1:0:corrupt-partition:7,coreset:3:0:wrong-output:11,"
+             "coreset:4:0:corrupt-partition:2,solve:0:0:wrong-output:3"},
+        Case{Backend::kMapReduceGeneralized,
+             "gen-coreset:2:0:corrupt-partition:5,"
+             "gen-coreset:5:0:wrong-output:8,gen-solve:0:0:wrong-output:1"}}) {
+    SCOPED_TRACE(BackendName(c.backend));
+    SolveOptions o;
+    o.problem = DiversityProblem::kRemoteClique;
+    o.backend = c.backend;
+    o.k = 5;
+    o.k_prime = 10;
+    o.num_partitions = 6;
+    o.seed = 4;
+    StatusOr<SolveResult> want = TrySolve(data, m, o);
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    StatusOr<FaultInjector> faults = FaultInjector::Parse(c.spec);
+    ASSERT_TRUE(faults.ok()) << faults.status().ToString();
+    for (CommunicationEngine* engine :
+         {static_cast<CommunicationEngine*>(nullptr),
+          static_cast<CommunicationEngine*>(&socket)}) {
+      SCOPED_TRACE(engine == nullptr ? "loopback" : "socket");
+      SolveOptions faulty = o;
+      faulty.faults = &*faults;
+      faulty.engine = engine;
+      StatusOr<SolveResult> got = TrySolve(data, m, faulty);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      EXPECT_TRUE(SameSolutions(got->solution, want->solution));
+      EXPECT_EQ(got->diversity, want->diversity);
+      EXPECT_FALSE(got->degraded.has_value());
+    }
+  }
 }
 
 }  // namespace

@@ -1,9 +1,16 @@
 #include "mapreduce/mr_diversity.h"
 
+#include <atomic>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "core/coreset.h"
 #include "core/exact.h"
 #include "core/metric.h"
+#include "core/sequential.h"
+#include "data/sparse_text.h"
 #include "data/synthetic.h"
 
 namespace diverse {
@@ -229,6 +236,157 @@ TEST(MrDiversityTest, GeneralizedSolutionPointsComeFromInput) {
       }
     }
     EXPECT_TRUE(found);
+  }
+}
+
+bool SamePoints(const PointSet& a, const PointSet& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (!(a[i] == b[i])) return false;
+  }
+  return true;
+}
+
+PointSet SparseDocs(size_t n) {
+  SparseTextOptions o;
+  o.n = n;
+  o.vocab_size = 300;
+  o.min_terms = 3;
+  o.max_terms = 20;
+  o.seed = 17;
+  return GenerateSparseTextDataset(o);
+}
+
+// An engine that implements only the PointSet calls, forwarding them to a
+// LoopbackEngine: row-view partitions reach it through the base class's
+// in-task gather, the path every decorator-style engine inherits.
+class PointSetOnlyEngine final : public CommunicationEngine {
+ public:
+  explicit PointSetOnlyEngine(LoopbackEngine* inner) : inner_(inner) {}
+  std::string BackendName() const override { return "pointset-only"; }
+  StatusOr<PointSet> Coreset(const TaskEnvelope& env, const PointSet& part,
+                             const CoresetSpec& spec) override {
+    ++coreset_calls;
+    return inner_->Coreset(env, part, spec);
+  }
+  StatusOr<GenCoresetResult> GenCoreset(const TaskEnvelope& env,
+                                        const PointSet& part, size_t k,
+                                        size_t k_prime) override {
+    ++coreset_calls;
+    return inner_->GenCoreset(env, part, k, k_prime);
+  }
+  StatusOr<PointSet> MergeCoresets(const TaskEnvelope& env, const PointSet& a,
+                                   const PointSet& b) override {
+    return inner_->MergeCoresets(env, a, b);
+  }
+  StatusOr<PointSet> Solve(const TaskEnvelope& env, const PointSet& aggregate,
+                           size_t k) override {
+    return inner_->Solve(env, aggregate, k);
+  }
+  StatusOr<GeneralizedCoreset> GenSolve(const TaskEnvelope& env,
+                                        const GeneralizedCoreset& merged,
+                                        size_t k) override {
+    return inner_->GenSolve(env, merged, k);
+  }
+  StatusOr<PointSet> Instantiate(const TaskEnvelope& env,
+                                 const GeneralizedCoreset& selected,
+                                 const PointSet& part, double range) override {
+    return inner_->Instantiate(env, selected, part, range);
+  }
+  std::atomic<size_t> coreset_calls{0};
+
+ private:
+  LoopbackEngine* inner_;
+};
+
+// The drivers run on a Dataset's row views; the PointSet entry points wrap
+// their input once. Both must give the same answer, for every driver, on
+// dense and sparse rows — and so must an engine that only sees gathered
+// PointSets.
+TEST(MrDiversityTest, DatasetInputMatchesPointSetShim) {
+  EuclideanMetric euclidean;
+  CosineMetric cosine;
+  struct Case {
+    std::string name;
+    PointSet points;
+    const Metric* metric;
+  };
+  const std::vector<Case> cases = {
+      {"dense", GenerateUniformCube(600, 3, /*seed=*/19), &euclidean},
+      {"sparse", SparseDocs(500), &cosine}};
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const Dataset data = Dataset::FromPoints(c.points);
+    MapReduceDiversity two(c.metric, DiversityProblem::kRemoteClique,
+                           BasicOptions(5, 10, 4));
+    StatusOr<MrResult> from_data = two.TryRun(data);
+    StatusOr<MrResult> from_points = two.TryRun(c.points);
+    ASSERT_TRUE(from_data.ok()) << from_data.status().ToString();
+    ASSERT_TRUE(from_points.ok()) << from_points.status().ToString();
+    EXPECT_TRUE(SamePoints(from_data->solution, from_points->solution));
+    EXPECT_EQ(from_data->diversity, from_points->diversity);
+    EXPECT_EQ(from_data->coreset_size, from_points->coreset_size);
+
+    StatusOr<MrResult> gen_data = two.TryRunGeneralized(data);
+    StatusOr<MrResult> gen_points = two.TryRunGeneralized(c.points);
+    ASSERT_TRUE(gen_data.ok()) << gen_data.status().ToString();
+    ASSERT_TRUE(gen_points.ok()) << gen_points.status().ToString();
+    EXPECT_TRUE(SamePoints(gen_data->solution, gen_points->solution));
+    EXPECT_EQ(gen_data->diversity, gen_points->diversity);
+
+    MapReduceDiversity rec(c.metric, DiversityProblem::kRemoteEdge,
+                           BasicOptions(3, 6, 4));
+    StatusOr<MrResult> rec_data = rec.TryRunRecursive(data, /*budget=*/40);
+    StatusOr<MrResult> rec_points =
+        rec.TryRunRecursive(c.points, /*budget=*/40);
+    ASSERT_TRUE(rec_data.ok()) << rec_data.status().ToString();
+    ASSERT_TRUE(rec_points.ok()) << rec_points.status().ToString();
+    EXPECT_GT(rec_data->rounds, 2u);  // actually recursed
+    EXPECT_TRUE(SamePoints(rec_data->solution, rec_points->solution));
+    EXPECT_EQ(rec_data->diversity, rec_points->diversity);
+
+    LoopbackEngine loopback(c.metric, DiversityProblem::kRemoteClique);
+    PointSetOnlyEngine gathered(&loopback);
+    MrOptions o = BasicOptions(5, 10, 4);
+    o.engine = &gathered;
+    MapReduceDiversity via_gather(c.metric, DiversityProblem::kRemoteClique, o);
+    StatusOr<MrResult> two_gathered = via_gather.TryRun(data);
+    StatusOr<MrResult> gen_gathered = via_gather.TryRunGeneralized(data);
+    ASSERT_TRUE(two_gathered.ok()) << two_gathered.status().ToString();
+    ASSERT_TRUE(gen_gathered.ok()) << gen_gathered.status().ToString();
+    EXPECT_EQ(gathered.coreset_calls.load(), 8u);
+    EXPECT_TRUE(SamePoints(two_gathered->solution, from_data->solution));
+    EXPECT_TRUE(SamePoints(gen_gathered->solution, gen_data->solution));
+  }
+}
+
+// The 2-round driver against a hand-rolled PointSet pipeline: copy each
+// partition (PartitionPoints), build its core-set on the copy, concatenate,
+// solve. The row-view data path must not change a single point.
+TEST(MrDiversityTest, RowViewDriverMatchesPartitionCopyPipeline) {
+  EuclideanMetric m;
+  const PointSet pts = GenerateUniformCube(700, 2, /*seed=*/23);
+  for (DiversityProblem problem :
+       {DiversityProblem::kRemoteEdge, DiversityProblem::kRemoteClique}) {
+    SCOPED_TRACE(ProblemName(problem));
+    const size_t k = 5, k_prime = 10, num_parts = 6;
+    PointSet aggregate;
+    for (const PointSet& part : PartitionPoints(
+             pts, num_parts, PartitionStrategy::kRandom, /*seed=*/3, &m)) {
+      const Coreset cs = RequiresInjectiveProxies(problem)
+                             ? GmmExtCoreset(part, m, k_prime, k - 1)
+                             : GmmCoreset(part, m, k_prime);
+      aggregate.insert(aggregate.end(), cs.points.begin(), cs.points.end());
+    }
+    PointSet want;
+    for (size_t idx : SolveSequential(problem, aggregate, m, k)) {
+      want.push_back(aggregate[idx]);
+    }
+    MapReduceDiversity mr(&m, problem, BasicOptions(k, k_prime, num_parts));
+    StatusOr<MrResult> got = mr.TryRun(Dataset::FromPoints(pts));
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(got->coreset_size, aggregate.size());
+    EXPECT_TRUE(SamePoints(got->solution, want));
   }
 }
 

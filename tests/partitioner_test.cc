@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -159,6 +161,60 @@ TEST(PartitionerTest, EmptyInputYieldsAllEmptyParts) {
     auto parts = PartitionPoints(empty, 5, strategy, /*seed=*/3);
     ASSERT_EQ(parts.size(), 5u) << PartitionStrategyName(strategy);
     for (const PointSet& part : parts) EXPECT_TRUE(part.empty());
+  }
+}
+
+// PartitionRows is the partitioner; PartitionPoints is a gather over it.
+// For every strategy and shape — including more parts than points and an
+// empty input — gathering each row block must reproduce PartitionPoints
+// point for point, and the blocks must form a permutation of the rows.
+TEST(PartitionerTest, RowBlocksGatherToPartitionPoints) {
+  CosineMetric cosine;
+  EuclideanMetric euclidean;
+  SparseTextOptions sparse_opts;
+  sparse_opts.n = 57;
+  sparse_opts.vocab_size = 80;
+  sparse_opts.min_terms = 3;
+  sparse_opts.max_terms = 12;
+  sparse_opts.seed = 9;
+  const PointSet dense = GenerateUniformCube(101, 3, /*seed=*/8);
+  const PointSet sparse = GenerateSparseTextDataset(sparse_opts);
+  const PointSet tiny = GenerateUniformCube(3, 2, /*seed=*/10);
+  const PointSet empty;
+  struct Input {
+    const PointSet* points;
+    const Metric* metric;
+  };
+  for (const Input& in : {Input{&dense, &euclidean}, Input{&sparse, &cosine},
+                          Input{&tiny, &euclidean}, Input{&empty, nullptr}}) {
+    for (PartitionStrategy strategy :
+         {PartitionStrategy::kChunked, PartitionStrategy::kRandom,
+          PartitionStrategy::kAdversarial}) {
+      for (size_t num_parts : {size_t{1}, size_t{4}, size_t{7}}) {
+        SCOPED_TRACE(PartitionStrategyName(strategy) + " n=" +
+                     std::to_string(in.points->size()) +
+                     " parts=" + std::to_string(num_parts));
+        const auto blocks = PartitionRows(*in.points, num_parts, strategy,
+                                          /*seed=*/13, in.metric);
+        const auto parts = PartitionPoints(*in.points, num_parts, strategy,
+                                           /*seed=*/13, in.metric);
+        ASSERT_EQ(blocks.size(), num_parts);
+        ASSERT_EQ(parts.size(), num_parts);
+        std::vector<uint32_t> all_rows;
+        for (size_t p = 0; p < num_parts; ++p) {
+          ASSERT_EQ(blocks[p].size(), parts[p].size());
+          for (size_t i = 0; i < blocks[p].size(); ++i) {
+            EXPECT_TRUE((*in.points)[blocks[p][i]] == parts[p][i]);
+            all_rows.push_back(blocks[p][i]);
+          }
+        }
+        std::sort(all_rows.begin(), all_rows.end());
+        for (size_t r = 0; r < all_rows.size(); ++r) {
+          EXPECT_EQ(all_rows[r], r);
+        }
+        EXPECT_EQ(all_rows.size(), in.points->size());
+      }
+    }
   }
 }
 
