@@ -178,8 +178,7 @@ class CommunicationEngine {
                                            const CoresetSpec& spec);
   virtual StatusOr<GenCoresetResult> GenCoresetOfRows(const TaskEnvelope& env,
                                                       const PartitionRef& part,
-                                                      size_t k,
-                                                      size_t k_prime);
+                                                      size_t k, size_t k_prime);
 };
 
 // ---- Pure compute cores (shared by loopback and the worker process) ----

@@ -34,9 +34,11 @@ bool LexLess(const Point& a, const Point& b) {
 
 }  // namespace
 
-std::vector<std::vector<uint32_t>> PartitionRows(
-    std::span<const Point> points, size_t num_parts, PartitionStrategy strategy,
-    uint64_t seed, const Metric* metric) {
+std::vector<std::vector<uint32_t>> PartitionRows(std::span<const Point> points,
+                                                 size_t num_parts,
+                                                 PartitionStrategy strategy,
+                                                 uint64_t seed,
+                                                 const Metric* metric) {
   size_t n = points.size();
   DIVERSE_CHECK_GE(num_parts, 1u);
   DIVERSE_CHECK_LE(n, size_t{UINT32_MAX});
