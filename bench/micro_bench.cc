@@ -877,14 +877,38 @@ void BM_FusedScreenSparseCosineExact(benchmark::State& state) {
 BENCHMARK(BM_FusedScreenSparseCosineExact)->Arg(4096)
     ->Unit(benchmark::kMillisecond);
 
-// Screened GMM end to end at dim 16 (single-query sweeps below ~dim 8 are
-// gated back to the exact path — too little per-row work to amortize the
-// screen; dim 3 therefore ties by construction).
+// Screened GMM end to end at dim 16: k fused single-query sweeps
+// (ScreenedRelaxSweep over Metric::ScreenedRelaxRows — per row on the skip
+// path, one fp32 squared distance and one compare against a cutoff cached
+// across steps; band hits rescue inline) against the exact sweep (Arg 0).
+// Single-query sweeps below ~dim 8 are gated back to the exact path, so a
+// dim-3 corpus would tie by construction. Setup verifies that the screened
+// trajectory is bit-identical to the exact one (SkipWithError drops the
+// entry from BENCH_micro.json on a mismatch, so CI's presence checks of
+// BM_ScreenedGmm50k/1 and /0 double as that assertion).
 void BM_ScreenedGmm50k(benchmark::State& state) {
   EuclideanMetric m;
   bool screening = state.range(0) != 0;
   SetGlobalThreadPoolSize(1);
   Dataset data = Dataset::FromPoints(GenerateUniformCube(50000, 16, 8));
+  GmmResult exact;
+  {
+    ScopedScreening off(false);
+    exact = Gmm(data, m, 32);
+  }
+  GmmResult screened;
+  {
+    ScopedScreening on(true);
+    screened = Gmm(data, m, 32);
+  }
+  if (screened.selected != exact.selected ||
+      screened.selection_distance != exact.selection_distance ||
+      screened.assignment != exact.assignment ||
+      screened.distance_to_selected != exact.distance_to_selected ||
+      screened.range != exact.range) {
+    state.SkipWithError("screened GMM diverged from exact GMM");
+    return;
+  }
   ScopedScreening guard(screening);
   for (auto _ : state) {
     benchmark::DoNotOptimize(Gmm(data, m, 32));

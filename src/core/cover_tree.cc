@@ -95,8 +95,9 @@ bool IndexProfitable(const Dataset& data, const Metric& metric, size_t k) {
   std::vector<double> dist(sample, kInf);
   std::vector<double> sel(m, 0.0);
   size_t cur = 0;
+  ScreenedRelaxSweep sweep(metric, probe, probe, dist);
   for (size_t j = 1; j < m; ++j) {
-    size_t far = ScreenedRelaxArgFarthest(metric, probe, cur, probe, dist);
+    size_t far = sweep.Step(cur);
     sel[j] = dist[far];
     cur = far;
   }

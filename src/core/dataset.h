@@ -88,6 +88,11 @@ class Dataset {
   /// Precomputed Euclidean norm of row i.
   double norm(size_t i) const { return norms_[i]; }
 
+  /// The dense coordinate pool. When no row is sparse (sparse_stats().rows
+  /// == 0), row i is the dim() floats starting at dense_data() + i * dim(),
+  /// so a row-range kernel can stream the pool without per-row lookups.
+  const float* dense_data() const { return dense_.data(); }
+
   /// Aggregate statistics over the sparse rows, maintained incrementally by
   /// Append/Assign. The sparse tile engine (core/metric.cc over
   /// core/sparse_kernels.h) reads them to choose its probe strategy per

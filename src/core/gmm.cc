@@ -33,21 +33,19 @@ GmmResult GmmFlat(const Dataset& data, const Metric& metric, size_t k,
   result.selection_distance.push_back(
       std::numeric_limits<double>::infinity());
 
-  std::span<double> dist(result.distance_to_selected);
-  std::span<size_t> assignment(result.assignment);
+  // One screened relax-and-argmax sweep per selected center (fp32 pass +
+  // exact rescue of rows the new center could improve). The sweep object
+  // plans the screening bound and gates once for the whole run and keeps a
+  // per-row skip cutoff across steps; centers are read as columnar row
+  // views. Selections, trajectories, and the final range are bit-identical
+  // to the exact path, which it falls back to when screening is off or the
+  // per-row work gate of core/screen.cc says a single-query screen cannot
+  // pay (the multi-center tile sweeps have no such gate — their fused
+  // kernel amortizes across the center block).
+  ScreenedRelaxSweep sweep(metric, data, data, result.distance_to_selected,
+                           result.assignment);
   for (size_t step = 1; step <= k; ++step) {
-    // Relax distances against the most recently added center and pick the
-    // farthest point as the next center, in one fused sweep per step. The
-    // sweep is screened (fp32 pass + exact rescue of rows the new center
-    // could improve — the center is a dataset row, so the rescue runs on
-    // columnar views); selections, trajectories, and the final range are
-    // bit-identical to the exact path, which it falls back to when
-    // screening is off or the per-row work gate of core/screen.cc says a
-    // single-query screen cannot pay (the multi-center tile sweeps have no
-    // such gate — their fused kernel amortizes across the center block).
-    size_t farthest = ScreenedRelaxArgFarthest(
-        metric, data, current, data, dist, assignment,
-        result.selected.size() - 1);
+    size_t farthest = sweep.Step(current, result.selected.size() - 1);
     double farthest_dist = result.distance_to_selected[farthest];
     if (step == k) {
       result.range = farthest_dist;

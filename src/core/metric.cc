@@ -652,6 +652,68 @@ size_t FusedDenseScreenedRelaxTile(
   return exact_evals;
 }
 
+// The one-center loop behind Metric::ScreenedRelaxRows for all-dense
+// layouts. Per row, one pass over the contiguous dense pool: the fp32
+// screen value (`screen`, the metric's DistanceToManyF32 kernel before any
+// sqrt), one compare against the row's cached cutoff (`cutoff_of` maps a
+// distance to it), an inline exact rescue (`exact`, the same double as the
+// metric's DistanceRows), and the first-max argmax fold. Non-finite screen
+// values fail the v <= FLT_MAX test and always rescue; a NaN cutoff fails
+// the compare, and is derived from dist before the rescue test repeats.
+template <typename ScreenFn, typename CutoffFn, typename ExactFn>
+size_t FusedDenseScreenedRelaxRows(const Dataset& queries, size_t q_index,
+                                   size_t center_rank, const Dataset& data,
+                                   size_t begin, std::span<double> dist,
+                                   std::span<size_t> assignment,
+                                   std::span<float> cutoff, size_t* farthest,
+                                   const ScreenFn& screen,
+                                   const CutoffFn& cutoff_of,
+                                   const ExactFn& exact) {
+  const size_t count = dist.size();
+  DIVERSE_CHECK_EQ(queries.dim(), data.dim());
+  DIVERSE_CHECK_LE(begin + count, data.size());
+  DIVERSE_CHECK_EQ(cutoff.size(), count);
+  if (!assignment.empty()) DIVERSE_CHECK_EQ(assignment.size(), count);
+  const kernels::VecView qv = queries.row(q_index);
+  const size_t dim = data.dim();
+  const float* q = qv.values;
+  const float* row = data.dense_data() + begin * dim;
+  const float flt_max = std::numeric_limits<float>::max();
+  size_t exact_evals = 0;
+  size_t best = 0;
+  double best_val = -std::numeric_limits<double>::infinity();
+  for (size_t t = 0; t < count; ++t, row += dim) {
+    const float v = screen(row, q, dim);
+    double cur = dist[t];
+    float c = cutoff[t];
+    if (!(v > c && v <= flt_max)) {
+      if (c != c) {
+        c = cutoff_of(cur);
+        cutoff[t] = c;
+      }
+      if (!(v > c && v <= flt_max)) {
+        kernels::VecView rv = qv;
+        rv.values = row;
+        rv.norm = data.norm(begin + t);
+        double d = exact(qv, rv);
+        ++exact_evals;
+        if (d < cur) {
+          cur = d;
+          dist[t] = d;
+          if (!assignment.empty()) assignment[t] = center_rank;
+          cutoff[t] = cutoff_of(d);
+        }
+      }
+    }
+    if (cur > best_val) {
+      best_val = cur;
+      best = t;
+    }
+  }
+  *farthest = best;
+  return exact_evals;
+}
+
 // Cosine-space screened relax for all-sparse tiles: the screen compares
 // raw fp32 dots against per-row cos thresholds, so the skip path costs the
 // SparseDotLanesF32 walks plus one multiply-compare per lane — no arccos
@@ -924,6 +986,66 @@ size_t Metric::ScreenedRelaxTile(const Dataset& queries, size_t q_begin,
   return exact_evals;
 }
 
+size_t Metric::ScreenedRelaxRows(const Dataset& queries, size_t q_index,
+                                 size_t center_rank, const Dataset& data,
+                                 size_t begin, const ScreenBound& bound,
+                                 std::span<double> dist,
+                                 std::span<size_t> assignment,
+                                 std::span<float> /*cutoff*/,
+                                 size_t* farthest) const {
+  // Unfused fallback, correct for any metric: per chunk, an fp32 buffer
+  // through DistanceToManyF32, distance-space skip thresholds recomputed
+  // from dist, CollectScreenRescues, and one batched DistanceRowsMany for
+  // the band hits. Per-row decisions depend only on the pair and dist[t],
+  // so chunk alignment never moves one.
+  constexpr size_t kChunk = 512;
+  const size_t count = dist.size();
+  DIVERSE_CHECK_LE(begin + count, data.size());
+  if (!assignment.empty()) DIVERSE_CHECK_EQ(assignment.size(), count);
+  const double inv_rel = (1.0 + 1e-12) / (1.0 - bound.rel);
+  const Point& query = queries.point(q_index);
+  thread_local std::vector<float> buf;
+  thread_local std::vector<float> thr;
+  thread_local std::vector<uint32_t> rescue;
+  thread_local std::vector<double> rescued_d;
+  size_t exact_evals = 0;
+  size_t best = 0;
+  double best_val = -std::numeric_limits<double>::infinity();
+  for (size_t c0 = 0; c0 < count; c0 += kChunk) {
+    size_t cn = std::min(kChunk, count - c0);
+    buf.resize(cn);
+    thr.resize(cn);
+    DistanceToManyF32(query, data, begin + c0,
+                      std::span<float>(buf.data(), cn));
+    for (size_t i = 0; i < cn; ++i) {
+      thr[i] = ScreenSkipThreshold(dist[c0 + i], bound.abs, inv_rel);
+    }
+    rescue.clear();
+    CollectScreenRescues(buf.data(), thr.data(), cn,
+                         static_cast<uint32_t>(begin + c0), rescue);
+    if (!rescue.empty()) {
+      rescued_d.resize(rescue.size());
+      DistanceRowsMany(queries, q_index, data, rescue, rescued_d.data());
+      exact_evals += rescue.size();
+      for (size_t r = 0; r < rescue.size(); ++r) {
+        size_t t = rescue[r] - begin;
+        if (rescued_d[r] < dist[t]) {
+          dist[t] = rescued_d[r];
+          if (!assignment.empty()) assignment[t] = center_rank;
+        }
+      }
+    }
+    for (size_t t = c0; t < c0 + cn; ++t) {
+      if (dist[t] > best_val) {
+        best_val = dist[t];
+        best = t;
+      }
+    }
+  }
+  *farthest = best;
+  return exact_evals;
+}
+
 size_t RelaxTilesAndArgFarthest(const Metric& metric, const Dataset& queries,
                                 size_t q_begin, size_t nq, size_t rank_base,
                                 const Dataset& data, std::span<double> dist,
@@ -1140,6 +1262,37 @@ size_t EuclideanMetric::ScreenedRelaxTile(const Dataset& queries,
       });
 }
 
+size_t EuclideanMetric::ScreenedRelaxRows(const Dataset& queries,
+                                          size_t q_index, size_t center_rank,
+                                          const Dataset& data, size_t begin,
+                                          const ScreenBound& bound,
+                                          std::span<double> dist,
+                                          std::span<size_t> assignment,
+                                          std::span<float> cutoff,
+                                          size_t* farthest) const {
+  if (data.sparse_stats().rows > 0 || queries.row_is_sparse(q_index) ||
+      data.dim() == 0) {
+    return Metric::ScreenedRelaxRows(queries, q_index, center_rank, data,
+                                     begin, bound, dist, assignment, cutoff,
+                                     farthest);
+  }
+  // Screen values and cutoffs stay SQUARED: the cache holds
+  // SquaredSkipCutoff(threshold), so the skip path runs no sqrt at all.
+  const double inv_rel = (1.0 + 1e-12) / (1.0 - bound.rel);
+  return FusedDenseScreenedRelaxRows(
+      queries, q_index, center_rank, data, begin, dist, assignment, cutoff,
+      farthest,
+      [](const float* row, const float* q, size_t dim) {
+        return kernels::SquaredEuclideanDenseF32(row, q, dim);
+      },
+      [&bound, inv_rel](double cur) {
+        return SquaredSkipCutoff(ScreenSkipThreshold(cur, bound.abs, inv_rel));
+      },
+      [](const kernels::VecView& q, const kernels::VecView& row) {
+        return kernels::Euclidean(q, row);
+      });
+}
+
 ScreenBound EuclideanMetric::ScreenErrorBound(const Dataset& queries,
                                               const Dataset& data) const {
   return AdditiveBound(
@@ -1243,6 +1396,35 @@ size_t ManhattanMetric::ScreenedRelaxTile(const Dataset& queries,
       [](float*, const kernels::VecView*, const kernels::VecView&, size_t) {},
       [](float v) { return v; },
       [](float thr) { return thr; },
+      [](const kernels::VecView& q, const kernels::VecView& row) {
+        return kernels::L1(q, row);
+      });
+}
+
+size_t ManhattanMetric::ScreenedRelaxRows(const Dataset& queries,
+                                          size_t q_index, size_t center_rank,
+                                          const Dataset& data, size_t begin,
+                                          const ScreenBound& bound,
+                                          std::span<double> dist,
+                                          std::span<size_t> assignment,
+                                          std::span<float> cutoff,
+                                          size_t* farthest) const {
+  if (data.sparse_stats().rows > 0 || queries.row_is_sparse(q_index) ||
+      data.dim() == 0) {
+    return Metric::ScreenedRelaxRows(queries, q_index, center_rank, data,
+                                     begin, bound, dist, assignment, cutoff,
+                                     farthest);
+  }
+  const double inv_rel = (1.0 + 1e-12) / (1.0 - bound.rel);
+  return FusedDenseScreenedRelaxRows(
+      queries, q_index, center_rank, data, begin, dist, assignment, cutoff,
+      farthest,
+      [](const float* row, const float* q, size_t dim) {
+        return kernels::L1DenseF32(row, q, dim);
+      },
+      [&bound, inv_rel](double cur) {
+        return ScreenSkipThreshold(cur, bound.abs, inv_rel);
+      },
       [](const kernels::VecView& q, const kernels::VecView& row) {
         return kernels::L1(q, row);
       });

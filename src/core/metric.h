@@ -203,6 +203,47 @@ class Metric {
                                    std::span<double> dist,
                                    std::span<size_t> assignment) const;
 
+  /// Fused single-query screen + relax + rescue + argmax over data rows
+  /// [begin, begin + dist.size()) — the one-center counterpart of
+  /// ScreenedRelaxTile, and the body of every GMM step (ScreenedRelaxSweep
+  /// in core/screen.h). All spans are RANGE-relative: entry t belongs to
+  /// row begin + t. For every row, with d = DistanceRows(queries, q_index,
+  /// data, row):
+  ///   if (d < dist[t]) { dist[t] = d; assignment[t] = center_rank; }
+  /// bit for bit, but d is only evaluated for rows whose fp32 screen value
+  /// cannot certify d > dist[t] under `bound`. *farthest receives the
+  /// offset t of the first maximum of the updated dist. Returns the number
+  /// of exact evaluations paid, which CountingMetric adds to its exact
+  /// counter (it counts dist.size() screened evaluations).
+  ///
+  /// `cutoff` holds one float per row: the row's certain-skip cutoff in
+  /// the implementation's screen space, a pure function of dist[t] and
+  /// `bound`. Callers that run many steps keep it across calls so the
+  /// skip path never recomputes it; a NaN entry means "not cached yet" and
+  /// is derived from dist[t] on first touch. It must be dropped (or reset
+  /// to NaN) whenever dist changes outside this kernel or `bound` changes.
+  /// Requires bound.rel < 1 and bound == ScreenErrorBound(queries, data).
+  /// Computed on the calling thread.
+  ///
+  /// The base implementation is the unfused chunk loop for any metric: an
+  /// fp32 buffer through DistanceToManyF32 (query queries.point(q_index)),
+  /// per-row distance-space thresholds, CollectScreenRescues, and batched
+  /// DistanceRowsMany; it ignores `cutoff`. Euclidean and L1 override it
+  /// for all-dense layouts with one register-resident pass per row over
+  /// the contiguous dense pool: the fp32 value in the exact summation
+  /// order of their DistanceToManyF32 kernels (squared, for Euclidean),
+  /// one compare against the cached cutoff (SQUARED for Euclidean, so no
+  /// sqrt runs on the skip path), an inline exact rescue, and the argmax
+  /// fold. The squared compare can only rescue more rows than a compare
+  /// after sqrtf, never fewer.
+  virtual size_t ScreenedRelaxRows(const Dataset& queries, size_t q_index,
+                                   size_t center_rank, const Dataset& data,
+                                   size_t begin, const ScreenBound& bound,
+                                   std::span<double> dist,
+                                   std::span<size_t> assignment,
+                                   std::span<float> cutoff,
+                                   size_t* farthest) const;
+
   /// Certified |screened - exact| bound valid for every (query row, data
   /// row) pair of DistanceTileF32 over these datasets. Reads only dataset
   /// statistics (dim, nnz maxima, norm extrema), so the bound — and hence
@@ -315,6 +356,13 @@ class EuclideanMetric final : public Metric {
                            size_t r_begin, size_t nr, const ScreenBound& bound,
                            std::span<double> dist,
                            std::span<size_t> assignment) const override;
+  size_t ScreenedRelaxRows(const Dataset& queries, size_t q_index,
+                           size_t center_rank, const Dataset& data,
+                           size_t begin, const ScreenBound& bound,
+                           std::span<double> dist,
+                           std::span<size_t> assignment,
+                           std::span<float> cutoff,
+                           size_t* farthest) const override;
   ScreenBound ScreenErrorBound(const Dataset& queries,
                                const Dataset& data) const override;
   ScreenBound ScreenErrorBound(const Point& query,
@@ -350,6 +398,13 @@ class ManhattanMetric final : public Metric {
                            size_t r_begin, size_t nr, const ScreenBound& bound,
                            std::span<double> dist,
                            std::span<size_t> assignment) const override;
+  size_t ScreenedRelaxRows(const Dataset& queries, size_t q_index,
+                           size_t center_rank, const Dataset& data,
+                           size_t begin, const ScreenBound& bound,
+                           std::span<double> dist,
+                           std::span<size_t> assignment,
+                           std::span<float> cutoff,
+                           size_t* farthest) const override;
   ScreenBound ScreenErrorBound(const Dataset& queries,
                                const Dataset& data) const override;
   ScreenBound ScreenErrorBound(const Point& query,
@@ -515,6 +570,23 @@ class CountingMetric final : public Metric {
     size_t rescued = base_->ScreenedRelaxTile(queries, q_begin, nq, rank_base,
                                               data, r_begin, nr, bound, dist,
                                               assignment);
+    count_.fetch_add(rescued, std::memory_order_relaxed);
+    return rescued;
+  }
+
+  size_t ScreenedRelaxRows(const Dataset& queries, size_t q_index,
+                           size_t center_rank, const Dataset& data,
+                           size_t begin, const ScreenBound& bound,
+                           std::span<double> dist,
+                           std::span<size_t> assignment,
+                           std::span<float> cutoff,
+                           size_t* farthest) const override {
+    // Same accounting as ScreenedRelaxTile: every row screened once, the
+    // rescues reported by the kernel's return value.
+    screened_.fetch_add(dist.size(), std::memory_order_relaxed);
+    size_t rescued = base_->ScreenedRelaxRows(queries, q_index, center_rank,
+                                              data, begin, bound, dist,
+                                              assignment, cutoff, farthest);
     count_.fetch_add(rescued, std::memory_order_relaxed);
     return rescued;
   }

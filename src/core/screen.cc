@@ -32,14 +32,15 @@ size_t GrainRows(const Dataset& data) {
 }
 
 // Single-query *relax* sweeps (GMM's per-center loop) still gate on per-row
-// coordinate work: their fp32 pass re-reads a materialized buffer and the
-// rescue band stays populated throughout the k-step trajectory, so below
-// ~8 coords per row the screen only ties the exact sweep. The fused SMM
-// sweeps (ScreenedArgClosest / ScreenedArgClosestWithin /
-// ScreenedFirstWithin) carry no such gate: their skip path is one float
-// compare against precomputed cutoffs, profitable at any dimension. The
-// decision reads only dataset statistics — deterministic, and either
-// verdict is bit-identical.
+// coordinate work. Their fused kernel (Metric::ScreenedRelaxRows) skips a
+// row with one fp32 distance and one compare against a cached cutoff, but
+// the rescue band stays populated throughout the k-step trajectory, and
+// below ~8 coords per row the exact sweep costs little more than the
+// screen. The fused SMM sweeps (ScreenedArgClosest /
+// ScreenedArgClosestWithin / ScreenedFirstWithin) carry no such gate: their
+// skip path is one float compare against precomputed cutoffs, profitable at
+// any dimension. The decision reads only dataset statistics —
+// deterministic, and either verdict is bit-identical.
 bool SingleQueryScreenWorthwhile(const Dataset& data) {
   size_t work = data.has_dense_rows() ? data.dim() : 0;
   const Dataset::SparseStats& ss = data.sparse_stats();
@@ -187,7 +188,6 @@ RelaxScreenPlan PlanScreenedRelax(const Metric& metric, const Dataset& queries,
   }
   plan.bound = metric.ScreenErrorBound(queries, data);
   if (!(plan.bound.rel < 1.0)) return plan;  // degenerate: run exact
-  plan.inv_rel = (1.0 + 1e-12) / (1.0 - plan.bound.rel);
   plan.screen = true;
   return plan;
 }
@@ -202,12 +202,12 @@ size_t ScreenedRelaxRange(const Metric& metric, const Dataset& queries,
   DIVERSE_CHECK_EQ(dist.size(), data.size());
   if (!assignment.empty()) DIVERSE_CHECK_EQ(assignment.size(), data.size());
   if (count == 0) return 0;
-  const Point& query = queries.point(q_index);
-  constexpr size_t kChunk = 512;
   size_t end = begin + count;
   if (!plan.screen) {
     // Exact per-pair relax through the batched kernel — the same doubles
     // Metric::RelaxAndArgFarthest folds, chunked to bound scratch.
+    constexpr size_t kChunk = 512;
+    const Point& query = queries.point(q_index);
     thread_local std::vector<double> dbuf;
     for (size_t c0 = begin; c0 < end; c0 += kChunk) {
       size_t cn = std::min(kChunk, end - c0);
@@ -223,112 +223,57 @@ size_t ScreenedRelaxRange(const Metric& metric, const Dataset& queries,
     }
     return count;
   }
-  // The flat sweep's chunk body verbatim, over [begin, end). Per-row fp32
-  // values, skip thresholds, and rescue verdicts are functions of the pair
-  // and the row's incoming dist alone (the per-row kernels do not couple
-  // rows), so chunk alignment cannot move a decision: this IS the flat
-  // sweep restricted to these rows.
-  thread_local std::vector<float> buf;
-  thread_local std::vector<float> thr;
-  thread_local std::vector<uint32_t> rescue;
-  thread_local std::vector<double> rescued_d;
-  size_t exact_evals = 0;
-  for (size_t c0 = begin; c0 < end; c0 += kChunk) {
-    size_t cn = std::min(kChunk, end - c0);
-    buf.resize(cn);
-    thr.resize(cn);
-    metric.DistanceToManyF32(query, data, c0,
-                             std::span<float>(buf.data(), cn));
-    for (size_t i = 0; i < cn; ++i) {
-      thr[i] = ScreenSkipThreshold(dist[c0 + i], plan.bound.abs, plan.inv_rel);
-    }
-    rescue.clear();
-    CollectScreenRescues(buf.data(), thr.data(), cn,
-                         static_cast<uint32_t>(c0), rescue);
-    if (!rescue.empty()) {
-      rescued_d.resize(rescue.size());
-      metric.DistanceRowsMany(queries, q_index, data, rescue,
-                              rescued_d.data());
-      exact_evals += rescue.size();
-      for (size_t t = 0; t < rescue.size(); ++t) {
-        size_t row = rescue[t];
-        if (rescued_d[t] < dist[row]) {
-          dist[row] = rescued_d[t];
-          if (!assignment.empty()) assignment[row] = center_rank;
-        }
-      }
-    }
-  }
-  return exact_evals;
+  // The flat sweep's kernel over [begin, end), with every cutoff "not
+  // cached": each is derived from the row's incoming dist on first touch,
+  // which is exactly the value the flat sweep's cache holds.
+  thread_local std::vector<float> cutoff;
+  cutoff.assign(count, std::numeric_limits<float>::quiet_NaN());
+  size_t farthest = 0;
+  return metric.ScreenedRelaxRows(
+      queries, q_index, center_rank, data, begin, plan.bound,
+      dist.subspan(begin, count),
+      assignment.empty() ? assignment : assignment.subspan(begin, count),
+      std::span<float>(cutoff), &farthest);
 }
 
-size_t ScreenedRelaxArgFarthest(const Metric& metric, const Dataset& queries,
-                                size_t q_index, const Dataset& data,
-                                std::span<double> dist,
-                                std::span<size_t> assignment,
-                                size_t center_rank) {
-  DIVERSE_CHECK_LT(q_index, queries.size());
-  if (!UseScreening(metric) || !SingleQueryScreenWorthwhile(data) ||
-      !metric.ScreeningProfitableFor(queries, data)) {
-    return metric.RelaxAndArgFarthest(queries.point(q_index), data, dist,
-                                      assignment, center_rank);
+ScreenedRelaxSweep::ScreenedRelaxSweep(const Metric& metric,
+                                       const Dataset& queries,
+                                       const Dataset& data,
+                                       std::span<double> dist,
+                                       std::span<size_t> assignment)
+    : metric_(metric),
+      queries_(queries),
+      data_(data),
+      dist_(dist),
+      assignment_(assignment),
+      plan_(PlanScreenedRelax(metric, queries, data)) {
+  DIVERSE_CHECK_EQ(dist.size(), data.size());
+  if (!assignment.empty()) DIVERSE_CHECK_EQ(assignment.size(), data.size());
+  if (plan_.screen) {
+    cutoff_.assign(data.size(), std::numeric_limits<float>::quiet_NaN());
   }
-  size_t n = data.size();
-  DIVERSE_CHECK_EQ(dist.size(), n);
-  if (!assignment.empty()) DIVERSE_CHECK_EQ(assignment.size(), n);
+}
+
+size_t ScreenedRelaxSweep::Step(size_t q_index, size_t center_rank) {
+  DIVERSE_CHECK_LT(q_index, queries_.size());
+  if (!plan_.screen) {
+    return metric_.RelaxAndArgFarthest(queries_.point(q_index), data_, dist_,
+                                       assignment_, center_rank);
+  }
+  size_t n = data_.size();
   if (n == 0) return 0;
-
-  const ScreenBound bound = metric.ScreenErrorBound(queries, data);
-  if (!(bound.rel < 1.0)) {  // degenerate bound: the transform would invert
-    return metric.RelaxAndArgFarthest(queries.point(q_index), data, dist,
-                                      assignment, center_rank);
-  }
-  const Point& query = queries.point(q_index);
-  const double inv_rel = (1.0 + 1e-12) / (1.0 - bound.rel);
-  constexpr size_t kChunk = 512;
-
-  size_t grain = GrainRows(data);
+  size_t grain = GrainRows(data_);
   size_t num_ranges = (n + grain - 1) / grain;
   std::vector<size_t> range_best(num_ranges, SIZE_MAX);
+  std::span<float> cutoff(cutoff_);
   GlobalThreadPool().ParallelForRanges(n, grain, [&](size_t lo, size_t hi) {
-    thread_local std::vector<float> buf;
-    thread_local std::vector<float> thr;
-    thread_local std::vector<uint32_t> rescue;
-    thread_local std::vector<double> rescued_d;
-    size_t local_best = lo;
-    double local_val = -std::numeric_limits<double>::infinity();
-    for (size_t c0 = lo; c0 < hi; c0 += kChunk) {
-      size_t cn = std::min(kChunk, hi - c0);
-      buf.resize(cn);
-      thr.resize(cn);
-      metric.DistanceToManyF32(query, data, c0,
-                               std::span<float>(buf.data(), cn));
-      for (size_t i = 0; i < cn; ++i) {
-        thr[i] = ScreenSkipThreshold(dist[c0 + i], bound.abs, inv_rel);
-      }
-      rescue.clear();
-      CollectScreenRescues(buf.data(), thr.data(), cn,
-                           static_cast<uint32_t>(c0), rescue);
-      if (!rescue.empty()) {
-        rescued_d.resize(rescue.size());
-        metric.DistanceRowsMany(queries, q_index, data, rescue,
-                                rescued_d.data());
-        for (size_t t = 0; t < rescue.size(); ++t) {
-          size_t row = rescue[t];
-          if (rescued_d[t] < dist[row]) {
-            dist[row] = rescued_d[t];
-            if (!assignment.empty()) assignment[row] = center_rank;
-          }
-        }
-      }
-      for (size_t i = c0; i < c0 + cn; ++i) {
-        if (dist[i] > local_val) {
-          local_val = dist[i];
-          local_best = i;
-        }
-      }
-    }
-    range_best[lo / grain] = local_best;
+    size_t far = 0;
+    metric_.ScreenedRelaxRows(
+        queries_, q_index, center_rank, data_, lo, plan_.bound,
+        dist_.subspan(lo, hi - lo),
+        assignment_.empty() ? assignment_ : assignment_.subspan(lo, hi - lo),
+        cutoff.subspan(lo, hi - lo), &far);
+    range_best[lo / grain] = lo + far;
   });
 
   size_t best = range_best[0];
@@ -336,7 +281,7 @@ size_t ScreenedRelaxArgFarthest(const Metric& metric, const Dataset& queries,
   for (size_t r = 1; r < num_ranges; ++r) {
     size_t candidate = range_best[r];
     if (candidate == SIZE_MAX) continue;
-    if (dist[candidate] > dist[best]) best = candidate;
+    if (dist_[candidate] > dist_[best]) best = candidate;
   }
   return best;
 }

@@ -148,44 +148,77 @@ size_t ScreenedRelaxTilesAndArgFarthest(const Metric& metric,
                                         std::span<double> dist,
                                         std::span<size_t> assignment = {});
 
-/// Screened drop-in for Metric::RelaxAndArgFarthest with the query drawn
-/// from a dataset row (queries.point(q_index) — for GMM, queries == data):
-/// identical dist / assignment updates and return value. Falls back to the
-/// exact batched sweep when screening is off.
-size_t ScreenedRelaxArgFarthest(const Metric& metric, const Dataset& queries,
-                                size_t q_index, const Dataset& data,
-                                std::span<double> dist,
-                                std::span<size_t> assignment = {},
-                                size_t center_rank = 0);
-
-/// Precomputed decision state of one ScreenedRelaxArgFarthest-style sweep:
+/// Precomputed decision state of a single-query screened relax sweep:
 /// whether the sweep screens at all (all the flat path's gates folded in —
 /// the global toggle, the metric's profitability verdicts, the per-row-work
 /// gate, and the degenerate-bound check), and when it does, the certified
-/// bound plus its precomputed (1 + 1e-12) / (1 - rel). The metric index
-/// (core/cover_tree.h) plans ONCE per relax step and applies the plan to
+/// bound. Every input is a dataset statistic, so one plan serves a whole
+/// GMM run (ScreenedRelaxSweep plans once per Gmm call). The metric index
+/// (core/cover_tree.h) plans once per traversal and applies the plan to
 /// each surviving leaf range, so per-pair screening decisions — fp32
-/// values, skip thresholds, rescue sets — are exactly the flat sweep's
-/// restricted to those rows; that containment is what keeps indexed exact-
-/// eval counts at or below the flat screened baseline.
+/// values, skip cutoffs, rescue sets — are exactly the flat sweep's
+/// restricted to those rows; that containment is what keeps indexed
+/// exact-eval counts at or below the flat screened baseline.
 struct RelaxScreenPlan {
   bool screen = false;  ///< false: every pair pays the exact kernel
   ScreenBound bound;    ///< valid when screen
-  double inv_rel = 0.0; ///< (1 + 1e-12) / (1 - bound.rel) when screen
 };
 
-/// Builds the plan ScreenedRelaxArgFarthest would follow for a sweep of
-/// queries-rows against `data` (reads both datasets' lazy screen stats on
-/// the calling thread, like the flat sweep does before fanning out).
+/// Builds the plan for sweeps of queries-rows against `data` (reads both
+/// datasets' lazy screen stats on the calling thread, before any fan-out).
 RelaxScreenPlan PlanScreenedRelax(const Metric& metric, const Dataset& queries,
                                   const Dataset& data);
 
-/// The relax body of ScreenedRelaxArgFarthest restricted to rows
-/// [begin, begin + count): relaxes dist/assignment (full-dataset spans,
-/// absolute row indexing) against queries.point(q_index) under `plan`, with
-/// per-pair decisions identical to the flat sweep's, and returns the number
-/// of exact evaluations paid. No argmax — callers (the cover-tree leaf
-/// scan) fold their own.
+/// A sequence of screened drop-ins for Metric::RelaxAndArgFarthest over one
+/// running fold — GMM's k farthest-first steps. Each Step relaxes `dist` /
+/// `assignment` against a center given as a row of `queries` (for GMM,
+/// queries == data) and returns the smallest index maximizing the updated
+/// dist: identical updates and return value to the exact sweep, at any
+/// thread count.
+///
+/// The sweep plans once on construction (PlanScreenedRelax) and owns one
+/// float per data row: the row's certain-skip cutoff for
+/// Metric::ScreenedRelaxRows, kept across steps and refreshed only when a
+/// rescue lowers the row's distance, so the skip path of a step is one fp32
+/// distance and one compare per row (in the fused Euclidean / L1 kernels;
+/// the base loop ignores the cache). Each step runs the kernel over the
+/// exact sweeps' GrainRows ranges on GlobalThreadPool() and combines the
+/// per-range first maxima ascending with strict comparisons. Screened steps
+/// read the center as a columnar row view, never as a retained Point; when
+/// the plan does not screen, steps take the exact
+/// Metric::RelaxAndArgFarthest path with queries.point(q_index).
+///
+/// `dist` and `assignment` (empty, or data.size()) must outlive the sweep
+/// and change only through Step while it lives: the cutoff cache mirrors
+/// dist. Their incoming values are arbitrary (cutoffs start "not cached").
+class ScreenedRelaxSweep {
+ public:
+  ScreenedRelaxSweep(const Metric& metric, const Dataset& queries,
+                     const Dataset& data, std::span<double> dist,
+                     std::span<size_t> assignment = {});
+
+  /// One relax-and-argmax step against queries row `q_index`; relaxed rows
+  /// are assigned `center_rank`. Returns the farthest row (0 when data is
+  /// empty).
+  size_t Step(size_t q_index, size_t center_rank = 0);
+
+ private:
+  const Metric& metric_;
+  const Dataset& queries_;
+  const Dataset& data_;
+  std::span<double> dist_;
+  std::span<size_t> assignment_;
+  RelaxScreenPlan plan_;
+  std::vector<float> cutoff_;  // per data row; NaN = derive from dist_
+};
+
+/// One ScreenedRelaxSweep step restricted to rows [begin, begin + count):
+/// relaxes dist/assignment (full-dataset spans, absolute row indexing)
+/// against queries row `q_index` under `plan` through the same per-row rule
+/// (Metric::ScreenedRelaxRows — its cutoffs derived from dist on the fly
+/// equal the flat sweep's cached ones, which are a pure function of dist),
+/// and returns the number of exact evaluations paid. No argmax — callers
+/// (the cover-tree leaf scan) fold their own.
 size_t ScreenedRelaxRange(const Metric& metric, const Dataset& queries,
                           size_t q_index, const Dataset& data, size_t begin,
                           size_t count, const RelaxScreenPlan& plan,

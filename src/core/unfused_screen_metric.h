@@ -1,13 +1,14 @@
 // Test/bench support: the pre-fusion screened baseline.
 //
 // UnfusedScreenMetric forwards every kernel to a wrapped metric but
-// deliberately does NOT override Metric::ScreenedRelaxTile, so screened
-// tile sweeps over it run the BASE materialize-then-collect loop (fp32
-// tile through DistanceTileF32 + CollectScreenRescues + batched
-// DistanceRowsMany) on the wrapped metric's fp32 kernels. screen_test
-// pins the fused kernels' results and exact-eval accounting against it,
-// and BM_FusedScreenRelaxDenseUnfused reports its timing as the fused
-// speedup's denominator. Not used by any production path.
+// deliberately does NOT override Metric::ScreenedRelaxTile or
+// Metric::ScreenedRelaxRows, so screened tile sweeps and single-query GMM
+// sweeps over it run the BASE materialize-then-collect loops (fp32 tile or
+// buffer through DistanceTileF32 / DistanceToManyF32 + CollectScreenRescues
+// + batched DistanceRowsMany) on the wrapped metric's fp32 kernels.
+// screen_test pins the fused kernels' results and exact-eval accounting
+// against it, and BM_FusedScreenRelaxDenseUnfused reports its timing as the
+// fused speedup's denominator. Not used by any production path.
 
 #ifndef DIVERSE_CORE_UNFUSED_SCREEN_METRIC_H_
 #define DIVERSE_CORE_UNFUSED_SCREEN_METRIC_H_
@@ -59,8 +60,8 @@ class UnfusedScreenMetric final : public Metric {
                         double* out) const override {
     base_->DistanceRowsMany(a, i, b, rows, out);
   }
-  // ScreenedRelaxTile deliberately NOT overridden: the base unfused loop
-  // is the point of this wrapper.
+  // ScreenedRelaxTile / ScreenedRelaxRows deliberately NOT overridden: the
+  // base unfused loops are the point of this wrapper.
   ScreenBound ScreenErrorBound(const Dataset& queries,
                                const Dataset& data) const override {
     return base_->ScreenErrorBound(queries, data);

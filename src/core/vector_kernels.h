@@ -685,6 +685,32 @@ inline float Accumulate8F32(const float* a, const float* b, size_t n,
   return ((s0 + s2) + (s1 + s3)) + tail;
 }
 
+#if defined(__x86_64__) && defined(__SSE2__)
+// Accumulate8F32 for n >= 16 in two SSE2 registers, float op for float op:
+// lanes of acc0 / acc1 are acc[0..3] / acc[4..7], s_j = acc[j] + acc[j+4]
+// is one packed add, and ((s0 + s2) + (s1 + s3)) a movehl add plus one
+// scalar add — the same operations in the same order, so the result is
+// bit-identical to the generic loop (pinned in screen_test).
+// `vterm` is the packed form of `term`.
+template <typename VecTermFn, typename TermFn>
+inline float Accumulate8F32Sse2(const float* a, const float* b, size_t n,
+                                const VecTermFn& vterm, const TermFn& term) {
+  __m128 acc0 = _mm_setzero_ps();
+  __m128 acc1 = _mm_setzero_ps();
+  size_t n8 = n & ~size_t{7};
+  for (size_t d = 0; d < n8; d += 8) {
+    acc0 = _mm_add_ps(acc0, vterm(_mm_loadu_ps(a + d), _mm_loadu_ps(b + d)));
+    acc1 = _mm_add_ps(acc1,
+                      vterm(_mm_loadu_ps(a + d + 4), _mm_loadu_ps(b + d + 4)));
+  }
+  float tail = 0.0f;
+  for (size_t d = n8; d < n; ++d) tail += term(a[d], b[d]);
+  __m128 s = _mm_add_ps(acc0, acc1);
+  __m128 t = _mm_add_ps(s, _mm_movehl_ps(s, s));
+  return _mm_cvtss_f32(_mm_add_ss(t, _mm_shuffle_ps(t, t, 1))) + tail;
+}
+#endif
+
 }  // namespace internal
 
 /// out[lane] = |q_lane - row|^2 in fp32 for each packed query lane.
@@ -802,14 +828,53 @@ inline void SqrtLanesF32(float* vals, size_t count) {
 #endif
 }
 
+/// fp32 squared Euclidean distance between two dense coordinate arrays of
+/// length n — the dense branch of SquaredEuclideanF32, callable on raw rows
+/// of a contiguous pool (the fused single-query screened sweeps).
+inline float SquaredEuclideanDenseF32(const float* a, const float* b,
+                                      size_t n) {
+  auto term = [](float x, float y) {
+    float d = x - y;
+    return d * d;
+  };
+#if defined(__x86_64__) && defined(__SSE2__)
+  if (n >= 16) {
+    return internal::Accumulate8F32Sse2(
+        a, b, n,
+        [](__m128 x, __m128 y) {
+          __m128 d = _mm_sub_ps(x, y);
+          return _mm_mul_ps(d, d);
+        },
+        term);
+  }
+#endif
+  return internal::Accumulate8F32(a, b, n, term);
+}
+
+/// fp32 L1 distance between two dense coordinate arrays of length n — the
+/// dense branch of L1F32.
+inline float L1DenseF32(const float* a, const float* b, size_t n) {
+  auto term = [](float x, float y) { return std::abs(x - y); };
+#if defined(__x86_64__) && defined(__SSE2__)
+  if (n >= 16) {
+    return internal::Accumulate8F32Sse2(
+        a, b, n,
+        [](__m128 x, __m128 y) {
+          // std::abs on a float clears the sign bit; so does this mask.
+          const __m128 abs_mask =
+              _mm_castsi128_ps(_mm_set1_epi32(0x7fffffff));
+          return _mm_and_ps(_mm_sub_ps(x, y), abs_mask);
+        },
+        term);
+  }
+#endif
+  return internal::Accumulate8F32(a, b, n, term);
+}
+
 /// fp32 squared Euclidean distance |a - b|^2 (any representation mix).
 inline float SquaredEuclideanF32(const VecView& a, const VecView& b) {
   if (!a.is_sparse() && !b.is_sparse()) {
-    return internal::Accumulate8F32(a.values, b.values, a.nnz,
-                                    [](float x, float y) {
-                                      float d = x - y;
-                                      return d * d;
-                                    });
+    return SquaredEuclideanDenseF32(a.values, b.values, a.nnz);
   }
   float s = 0.0f;
   if (a.is_sparse() && b.is_sparse()) {
@@ -845,9 +910,7 @@ inline float EuclideanF32(const VecView& a, const VecView& b) {
 /// fp32 L1 distance |a - b|_1 (any representation mix).
 inline float L1F32(const VecView& a, const VecView& b) {
   if (!a.is_sparse() && !b.is_sparse()) {
-    return internal::Accumulate8F32(
-        a.values, b.values, a.nnz,
-        [](float x, float y) { return std::abs(x - y); });
+    return L1DenseF32(a.values, b.values, a.nnz);
   }
   float s = 0.0f;
   if (a.is_sparse() && b.is_sparse()) {

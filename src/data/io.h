@@ -45,8 +45,12 @@ class ByteReader {
   explicit ByteReader(std::string_view bytes)
       : p_(bytes.data()), remaining_(bytes.size()) {}
 
-  /// Copies `n` bytes into `out`; false when fewer than `n` remain.
+  /// Copies `n` bytes into `out`; false when fewer than `n` remain. A
+  /// zero-byte read always succeeds without touching either pointer (an
+  /// empty view's data() may be null, and memcpy from null is undefined
+  /// even for n == 0).
   bool Read(void* out, size_t n) {
+    if (n == 0) return true;
     if (n > remaining_) return false;
     std::memcpy(out, p_, n);
     p_ += n;

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <string_view>
 
 #include <gtest/gtest.h>
 
@@ -90,6 +91,19 @@ TEST(IoBinaryTest, EmptySetRoundTrips) {
   ASSERT_TRUE(loaded.has_value());
   EXPECT_TRUE(loaded->empty());
   std::remove(path.c_str());
+}
+
+// A default string_view has a null data(); a zero-byte read from it must
+// succeed without handing the null pointer to memcpy (UBSan flags that even
+// for n == 0), and must not consume anything.
+TEST(IoBinaryTest, ZeroByteReadFromEmptyViewSucceeds) {
+  ByteReader in{std::string_view()};
+  char sink = 'x';
+  EXPECT_TRUE(in.Read(&sink, 0));
+  EXPECT_TRUE(in.Read(nullptr, 0));
+  EXPECT_EQ(sink, 'x');
+  EXPECT_EQ(in.remaining(), 0u);
+  EXPECT_FALSE(in.Read(&sink, 1));
 }
 
 TEST(IoBinaryTest, BadMagicRejected) {

@@ -13,9 +13,17 @@
 //     denormal coordinates, and magnitudes that overflow the fp32
 //     accumulator (screened value inf -> unconditional rescue);
 //   * accounting: screened/exact split determinism at any thread count, and
-//     the exact-eval count never exceeding the pre-screening baseline.
+//     the exact-eval count never exceeding the pre-screening baseline;
+//   * the fused single-query GMM sweep (Metric::ScreenedRelaxRows through
+//     ScreenedRelaxSweep, with per-row cutoffs cached across steps) across
+//     dimensions around its accumulation-order boundaries, and the
+//     cover-tree leaf scan (ScreenedRelaxRange) as that sweep restricted to
+//     a row range.
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <limits>
 #include <memory>
 #include <span>
@@ -24,6 +32,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/cover_tree.h"
 #include "core/dataset.h"
 #include "core/generalized_coreset.h"
 #include "core/gmm.h"
@@ -32,6 +41,7 @@
 #include "core/screen.h"
 #include "core/sequential.h"
 #include "core/unfused_screen_metric.h"
+#include "core/vector_kernels.h"
 #include "data/sparse_text.h"
 #include "data/synthetic.h"
 #include "streaming/smm.h"
@@ -522,6 +532,239 @@ TEST(ScreenTest, SparseCosineTileRelaxScreensAndMatchesExact) {
     }
   }
   SetGlobalThreadPoolSize(1);
+}
+
+// The dense fp32 screen kernels (packed SSE2 from 16 coordinates on
+// x86-64) must equal the generic Accumulate8F32 loop bit for bit: the
+// fused sweeps' rescue decisions, and so the exact-eval counts, are defined
+// by that summation order. Covers both sides of the 16-coordinate switch,
+// tails of every length, and overflowing / denormal / NaN coordinates.
+TEST(ScreenTest, DenseF32KernelsMatchGenericAccumulationOrder) {
+  auto bits = [](float f) {
+    uint32_t u;
+    std::memcpy(&u, &f, sizeof(u));
+    return u;
+  };
+  auto sq = [](float x, float y) {
+    float d = x - y;
+    return d * d;
+  };
+  auto l1 = [](float x, float y) { return std::abs(x - y); };
+  Rng rng(244);
+  const float specials[] = {3e19f, -3e19f, 1e38f, 1e-40f, -0.0f,
+                            std::numeric_limits<float>::quiet_NaN()};
+  for (size_t n = 1; n <= 70; ++n) {
+    for (int trial = 0; trial < 20; ++trial) {
+      std::vector<float> a(n), b(n);
+      for (size_t d = 0; d < n; ++d) {
+        a[d] = static_cast<float>(rng.NextDouble() * 4.0 - 2.0);
+        b[d] = static_cast<float>(rng.NextDouble() * 4.0 - 2.0);
+      }
+      if (trial >= 14) {
+        a[rng.NextBounded(n)] = specials[trial - 14];
+      }
+      EXPECT_EQ(bits(kernels::SquaredEuclideanDenseF32(a.data(), b.data(), n)),
+                bits(kernels::internal::Accumulate8F32(a.data(), b.data(), n,
+                                                       sq)))
+          << n << "/" << trial;
+      EXPECT_EQ(bits(kernels::L1DenseF32(a.data(), b.data(), n)),
+                bits(kernels::internal::Accumulate8F32(a.data(), b.data(), n,
+                                                       l1)))
+          << n << "/" << trial;
+    }
+  }
+}
+
+// --- Fused single-query GMM sweep -------------------------------------------
+// GmmFlat runs one ScreenedRelaxSweep step per center: Euclidean and L1
+// override Metric::ScreenedRelaxRows with the fused dense kernel (cached
+// per-row cutoffs, squared for Euclidean), dense cosine takes the base
+// chunk loop. Indexing is pinned off so every Gmm below is the flat sweep.
+
+// Dimensions straddle Accumulate8F32's order switch (sequential below 16
+// coordinates, eight accumulators plus a tail from 16 on) and the
+// single-query work gate (>= 8); 2300 rows span several GrainRows ranges at
+// every dimension, so multi-threaded runs split each step.
+TEST_P(ThreadCounts, FusedSingleQueryGmmBitIdenticalAcrossDims) {
+  SetGlobalThreadPoolSize(GetParam());
+  ScopedIndexing flat(false);
+  EuclideanMetric euclidean;
+  ManhattanMetric manhattan;
+  CosineMetric cosine;
+  const size_t k = 12;
+  for (size_t dim : {8u, 9u, 15u, 16u, 17u, 64u}) {
+    Dataset data = Dataset::FromPoints(DensePoints(2300, dim, 240 + dim));
+    for (const Metric* metric :
+         std::vector<const Metric*>{&euclidean, &manhattan, &cosine}) {
+      std::string ctx = metric->Name() + "/dim" + std::to_string(dim);
+      GmmResult exact;
+      {
+        ScopedScreening off(false);
+        exact = Gmm(data, *metric, k, /*first=*/7);
+      }
+      ScopedScreening on(true);
+      CountingMetric counting(metric);
+      GmmResult screened = Gmm(data, counting, k, /*first=*/7);
+      EXPECT_EQ(screened.selected, exact.selected) << ctx;
+      EXPECT_EQ(screened.selection_distance, exact.selection_distance) << ctx;
+      EXPECT_EQ(screened.assignment, exact.assignment) << ctx;
+      EXPECT_EQ(screened.distance_to_selected, exact.distance_to_selected)
+          << ctx;
+      EXPECT_EQ(screened.range, exact.range) << ctx;
+      // Every step screened every row: the screened path really ran.
+      EXPECT_EQ(counting.screened_evals(), k * data.size()) << ctx;
+    }
+  }
+  SetGlobalThreadPoolSize(1);
+}
+
+// Exact duplicate rows (ties: the first maximum and the earliest center
+// must win) and coordinates whose fp32 accumulations overflow (+inf screen
+// values and +inf squared cutoffs must rescue, never skip), at a dimension
+// the single-query gate screens.
+TEST_P(ThreadCounts, FusedSingleQueryGmmTiesAndOverflow) {
+  SetGlobalThreadPoolSize(GetParam());
+  ScopedIndexing flat(false);
+  const size_t dim = 16;
+  Rng rng(241);
+  PointSet pts;
+  for (size_t i = 0; i < 700; ++i) {
+    std::vector<float> v(dim);
+    for (float& x : v) x = static_cast<float>(rng.NextDouble());
+    pts.push_back(Point::Dense(v));
+    if (i % 5 == 0) pts.push_back(Point::Dense(v));  // exact duplicate
+  }
+  // Half the coordinates large: a squared difference overflows fp32 from
+  // ~1.9e19, the L1 sum of eight from ~4.3e37.
+  for (float mag : {3e19f, -3e19f, 1e38f}) {
+    std::vector<float> v(dim, 0.5f);
+    for (size_t d = 0; d < dim; d += 2) v[d] = mag;
+    pts.push_back(Point::Dense(v));
+    pts.push_back(Point::Dense(v));
+  }
+  Dataset data = Dataset::FromPoints(pts);
+  EuclideanMetric euclidean;
+  ManhattanMetric manhattan;
+  const size_t k = 40;
+  for (const Metric* metric :
+       std::vector<const Metric*>{&euclidean, &manhattan}) {
+    GmmResult exact;
+    {
+      ScopedScreening off(false);
+      exact = Gmm(data, *metric, k);
+    }
+    ScopedScreening on(true);
+    CountingMetric counting(metric);
+    GmmResult screened = Gmm(data, counting, k);
+    const std::string ctx = metric->Name();
+    EXPECT_EQ(screened.selected, exact.selected) << ctx;
+    EXPECT_EQ(screened.selection_distance, exact.selection_distance) << ctx;
+    EXPECT_EQ(screened.assignment, exact.assignment) << ctx;
+    EXPECT_EQ(screened.distance_to_selected, exact.distance_to_selected)
+        << ctx;
+    EXPECT_EQ(screened.range, exact.range) << ctx;
+    EXPECT_EQ(counting.screened_evals(), k * data.size()) << ctx;
+    EXPECT_LE(counting.exact_evals(), k * data.size()) << ctx;
+  }
+  SetGlobalThreadPoolSize(1);
+}
+
+// CountingMetric accounting of the fused sweep: every row screened once per
+// step, rescues bounded by the exact baseline, counts equal at any thread
+// count. Against the unfused base loop (UnfusedScreenMetric), results are
+// identical; L1 compares the same fp32 values against the same
+// distance-space thresholds, so its rescue count is equal, while
+// Euclidean's squared cutoff can only rescue more.
+TEST(ScreenTest, FusedSingleQueryGmmCountsDeterministicAndBounded) {
+  ScopedIndexing flat(false);
+  ScopedScreening on(true);
+  Dataset data = Dataset::FromPoints(DensePoints(5000, 16, /*seed=*/242));
+  const size_t k = 24;
+  const uint64_t baseline = k * data.size();
+  EuclideanMetric euclidean;
+  ManhattanMetric manhattan;
+  for (const Metric* metric :
+       std::vector<const Metric*>{&euclidean, &manhattan}) {
+    const std::string name = metric->Name();
+    SetGlobalThreadPoolSize(1);
+    UnfusedScreenMetric unfused_inner(metric);
+    CountingMetric unfused(&unfused_inner);
+    GmmResult ref = Gmm(data, unfused, k);
+    EXPECT_EQ(unfused.screened_evals(), baseline) << name;
+    uint64_t exact_ref = 0;
+    for (size_t threads : {1u, 2u, 8u}) {
+      SetGlobalThreadPoolSize(threads);
+      CountingMetric counting(metric);
+      GmmResult r = Gmm(data, counting, k);
+      std::string ctx = name + "/t" + std::to_string(threads);
+      EXPECT_EQ(r.selected, ref.selected) << ctx;
+      EXPECT_EQ(r.assignment, ref.assignment) << ctx;
+      EXPECT_EQ(r.distance_to_selected, ref.distance_to_selected) << ctx;
+      EXPECT_EQ(counting.screened_evals(), baseline) << ctx;
+      EXPECT_LE(counting.exact_evals(), baseline) << ctx;
+      EXPECT_GE(counting.exact_evals(), unfused.exact_evals()) << ctx;
+      if (metric == &manhattan) {
+        EXPECT_EQ(counting.exact_evals(), unfused.exact_evals()) << ctx;
+      }
+      if (threads == 1) {
+        exact_ref = counting.exact_evals();
+      } else {
+        EXPECT_EQ(counting.exact_evals(), exact_ref) << ctx;
+      }
+    }
+  }
+  SetGlobalThreadPoolSize(1);
+}
+
+// The cover-tree leaf scan is the flat sweep restricted to a row range:
+// ScreenedRelaxRange derives each cutoff from the row's incoming dist, and
+// the flat sweep's cached cutoffs are that same pure function of dist, so
+// over [0, n) — whole or in pieces — it reproduces a flat step's dist,
+// assignment, and exact-eval count after several cached steps.
+TEST(ScreenTest, ScreenedRelaxRangeMatchesFlatFusedStep) {
+  ScopedScreening on(true);
+  Dataset data = Dataset::FromPoints(DensePoints(3000, 16, /*seed=*/243));
+  const size_t n = data.size();
+  const double inf = std::numeric_limits<double>::infinity();
+  EuclideanMetric euclidean;
+  ManhattanMetric manhattan;
+  for (const Metric* metric :
+       std::vector<const Metric*>{&euclidean, &manhattan}) {
+    const std::string ctx = metric->Name();
+    RelaxScreenPlan plan = PlanScreenedRelax(*metric, data, data);
+    ASSERT_TRUE(plan.screen) << ctx;
+    CountingMetric counting(metric);
+    std::vector<double> dist(n, inf);
+    std::vector<size_t> assign(n, 0);
+    ScreenedRelaxSweep sweep(counting, data, data, dist, assign);
+    size_t center = 0;
+    for (size_t rank = 0; rank < 6; ++rank) center = sweep.Step(center, rank);
+
+    std::vector<double> whole_dist = dist;
+    std::vector<size_t> whole_assign = assign;
+    std::vector<double> split_dist = dist;
+    std::vector<size_t> split_assign = assign;
+    uint64_t before = counting.exact_evals();
+    sweep.Step(center, 6);
+    uint64_t flat_exact = counting.exact_evals() - before;
+    EXPECT_GT(flat_exact, 0u) << ctx;
+
+    size_t whole_exact = ScreenedRelaxRange(*metric, data, center, data, 0, n,
+                                            plan, whole_dist, whole_assign, 6);
+    EXPECT_EQ(whole_dist, dist) << ctx;
+    EXPECT_EQ(whole_assign, assign) << ctx;
+    EXPECT_EQ(whole_exact, flat_exact) << ctx;
+
+    size_t split_exact = 0;
+    for (size_t lo = 0; lo < n; lo += 700) {
+      split_exact += ScreenedRelaxRange(*metric, data, center, data, lo,
+                                        std::min<size_t>(700, n - lo), plan,
+                                        split_dist, split_assign, 6);
+    }
+    EXPECT_EQ(split_dist, dist) << ctx;
+    EXPECT_EQ(split_assign, assign) << ctx;
+    EXPECT_EQ(split_exact, flat_exact) << ctx;
+  }
 }
 
 // The global toggle and the SolveOptions flag: screening off means zero
