@@ -921,6 +921,56 @@ void BM_ScreenedGmm50k(benchmark::State& state) {
 }
 BENCHMARK(BM_ScreenedGmm50k)->Arg(1)->Arg(0)->Unit(benchmark::kMillisecond);
 
+// Sparse cosine GMM on one mr-sparse partition (12.5k documents over a
+// 5000-term vocabulary, default text corpus options, k=64), single-threaded:
+// Gmm, whose single-query sweeps gather each row against the scattered
+// query (Arg 1), against GmmScalar, the per-pair index merge (Arg 0). Setup
+// verifies the two are bit-identical (SkipWithError drops the entry from
+// BENCH_micro.json on a mismatch, so CI's presence checks of
+// BM_SparseCosineGmm/1 and /0 double as that assertion).
+void BM_SparseCosineGmm(benchmark::State& state) {
+  constexpr size_t kN = 12500;
+  constexpr size_t kK = 64;
+  CosineMetric m;
+  bool gather = state.range(0) != 0;
+  SetGlobalThreadPoolSize(1);
+  SparseTextOptions opts;
+  opts.n = kN;
+  opts.vocab_size = 5000;
+  opts.seed = 11;
+  PointSet pts = GenerateSparseTextDataset(opts);
+  Dataset data = Dataset::FromPoints(pts);
+  GmmResult batched = Gmm(data, m, kK);
+  GmmResult scalar = GmmScalar(pts, m, kK);
+  auto same_bits = [](const std::vector<double>& a,
+                      const std::vector<double>& b) {
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+  };
+  if (batched.selected != scalar.selected ||
+      batched.assignment != scalar.assignment ||
+      !same_bits(batched.selection_distance, scalar.selection_distance) ||
+      !same_bits(batched.distance_to_selected, scalar.distance_to_selected) ||
+      !same_bits({batched.range}, {scalar.range})) {
+    state.SkipWithError("gathered sparse cosine GMM diverged from GmmScalar");
+    return;
+  }
+  for (auto _ : state) {
+    if (gather) {
+      benchmark::DoNotOptimize(Gmm(data, m, kK));
+    } else {
+      benchmark::DoNotOptimize(GmmScalar(pts, m, kK));
+    }
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(kN * kK));
+  state.counters["n"] = kN;
+  state.counters["dim"] = 5000;
+  state.counters["threads"] = 1;
+  state.SetLabel(gather ? "cosine/gather" : "cosine/merge");
+}
+BENCHMARK(BM_SparseCosineGmm)->Arg(1)->Arg(0)->Unit(benchmark::kMillisecond);
+
 // ParallelForRanges dispatch overhead: a near-empty body over a mid-size
 // index space, so the arena's no-allocation dispatch dominates the timing.
 void BM_ParallelForRangesDispatch(benchmark::State& state) {

@@ -832,6 +832,78 @@ size_t CosineSparseScreenedRelaxTile(const Dataset& queries, size_t q_begin,
   return exact_evals;
 }
 
+// --- Single-query sparse cosine gather ------------------------------------
+// A single-query cosine sweep over sparse rows would merge both index lists
+// for every (query, row) pair: a branchy walk over nnz_q + nnz_r positions.
+// Instead the query is scattered once per sweep into a dim-sized, zero-filled
+// per-thread float table, and each sparse row computes Dot(row, dense_q) —
+// the mixed-layout branch of kernels::Dot, a branch-free gather over the
+// row's own indices.
+//
+// Bit-identical to the merge: the gather visits the row's indices in
+// ascending order, so products at common indices arrive in the merge's
+// order with the same values. Every other term is x * 0.0f = ±0 for a
+// finite row value x — guaranteed by the finite-norm gate, since the double
+// norm of a row is finite exactly when all its values are. The accumulator
+// starts at +0 and never becomes -0 under round-to-nearest, so adding ±0
+// leaves its bits unchanged. Dense rows and rows with a non-finite norm
+// keep AngularCosine(row, q).
+//
+// The table costs 4 * dim bytes per thread, capped by kDirectIndexMaxDim;
+// only the query's indices are written and re-zeroed, so a sweep pays
+// O(nnz_q) for it, not O(dim). Pool threads running the sweep's ranges read
+// the caller's table while the caller blocks in ParallelForRanges.
+class GatheredCosineQuery {
+ public:
+  GatheredCosineQuery(const kernels::VecView& q, const Dataset& data)
+      : q_(q) {
+    Table& t = table_;
+    if (!q.is_sparse() || !std::isfinite(q.norm) ||
+        data.sparse_stats().rows == 0 || data.dim() > kDirectIndexMaxDim ||
+        t.in_use) {
+      return;
+    }
+    if (t.values.size() < data.dim()) t.values.resize(data.dim(), 0.0f);
+    for (size_t i = 0; i < q.nnz; ++i) t.values[q.indices[i]] = q.values[i];
+    t.in_use = true;
+    active_ = true;
+    dense_q_.values = t.values.data();
+    dense_q_.nnz = data.dim();
+    dense_q_.dim = data.dim();
+    dense_q_.norm = q.norm;
+  }
+
+  ~GatheredCosineQuery() {
+    if (!active_) return;
+    for (size_t i = 0; i < q_.nnz; ++i) table_.values[q_.indices[i]] = 0.0f;
+    table_.in_use = false;
+  }
+
+  GatheredCosineQuery(const GatheredCosineQuery&) = delete;
+  GatheredCosineQuery& operator=(const GatheredCosineQuery&) = delete;
+
+  // Equal, bit for bit, to kernels::AngularCosine(row, q).
+  double Distance(const kernels::VecView& row) const {
+    if (active_ && row.is_sparse() && std::isfinite(row.norm)) {
+      return kernels::AngularCosine(row, dense_q_);
+    }
+    return kernels::AngularCosine(row, q_);
+  }
+
+ private:
+  struct Table {
+    std::vector<float> values;  // all zero outside an active sweep
+    bool in_use = false;        // a nested sweep on this thread merges
+  };
+  static thread_local Table table_;
+
+  kernels::VecView q_;
+  kernels::VecView dense_q_;
+  bool active_ = false;
+};
+
+thread_local GatheredCosineQuery::Table GatheredCosineQuery::table_;
+
 }  // namespace
 
 void Metric::DistanceToMany(const Point& query, const Dataset& data,
@@ -1454,10 +1526,9 @@ double CosineMetric::Distance(const Point& a, const Point& b) const {
 
 void CosineMetric::DistanceToMany(const Point& query, const Dataset& data,
                                   size_t begin, std::span<double> out) const {
-  kernels::VecView q = QueryView(query, data);
-  BatchMap(data, begin, out, [&q](const kernels::VecView& row) {
-    return kernels::AngularCosine(row, q);
-  });
+  GatheredCosineQuery q(QueryView(query, data), data);
+  BatchMap(data, begin, out,
+           [&q](const kernels::VecView& row) { return q.Distance(row); });
 }
 
 size_t CosineMetric::RelaxAndArgFarthest(const Point& query,
@@ -1465,11 +1536,10 @@ size_t CosineMetric::RelaxAndArgFarthest(const Point& query,
                                          std::span<double> dist,
                                          std::span<size_t> assignment,
                                          size_t center_rank) const {
-  kernels::VecView q = QueryView(query, data);
-  return BatchRelaxArgFarthest(data, dist, assignment, center_rank,
-                               [&q](const kernels::VecView& row) {
-                                 return kernels::AngularCosine(row, q);
-                               });
+  GatheredCosineQuery q(QueryView(query, data), data);
+  return BatchRelaxArgFarthest(
+      data, dist, assignment, center_rank,
+      [&q](const kernels::VecView& row) { return q.Distance(row); });
 }
 
 void CosineMetric::DistanceTile(const Dataset& queries, size_t q_begin,

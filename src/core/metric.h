@@ -419,7 +419,10 @@ class ManhattanMetric final : public Metric {
 /// `dist` function of the paper's Section 7. Zero vectors are at distance 0
 /// from each other and pi/2 from any nonzero vector (the convention that
 /// keeps the function a metric on the datasets we generate, which exclude
-/// zero vectors anyway).
+/// zero vectors anyway). Single-query sweeps (DistanceToMany,
+/// RelaxAndArgFarthest) with a sparse query scatter it once into a
+/// per-thread dense table and gather each sparse row against it, bit for
+/// bit equal to the per-pair index merge.
 class CosineMetric final : public Metric {
  public:
   double Distance(const Point& a, const Point& b) const override;

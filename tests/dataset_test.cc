@@ -143,7 +143,9 @@ TEST(DatasetTest, AssignGatherMatchesAssignOfSamePoints) {
     EXPECT_EQ(got.dim(), want.dim());
     EXPECT_EQ(got.points().size(), with_points ? rows.size() : 0u);
     for (size_t i = 0; i < rows.size(); ++i) {
-      if (with_points) EXPECT_EQ(got.point(i), want.point(i));
+      if (with_points) {
+        EXPECT_EQ(got.point(i), want.point(i));
+      }
       ASSERT_EQ(got.row_is_sparse(i), want.row_is_sparse(i));
       const kernels::VecView a = got.row(i);
       const kernels::VecView b = want.row(i);
@@ -151,7 +153,9 @@ TEST(DatasetTest, AssignGatherMatchesAssignOfSamePoints) {
       EXPECT_EQ(a.norm, b.norm);
       for (size_t j = 0; j < a.nnz; ++j) {
         EXPECT_EQ(a.values[j], b.values[j]);
-        if (a.sparse) EXPECT_EQ(a.indices[j], b.indices[j]);
+        if (a.sparse) {
+          EXPECT_EQ(a.indices[j], b.indices[j]);
+        }
       }
     }
     EXPECT_EQ(got.sparse_stats().rows, want.sparse_stats().rows);

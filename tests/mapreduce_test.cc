@@ -208,7 +208,8 @@ TEST(FallibleRoundTest, StragglerTimeoutLaunchesSpeculativeDuplicate) {
   std::atomic<int> commits{0};
   RoundOutcome out = sim.RunFallibleRound(
       "slow", 2,
-      [&](const MrTaskContext& ctx, std::function<void()>* commit) -> Status {
+      [&](const MrTaskContext& /*ctx*/, std::function<void()>* commit)
+          -> Status {
         *commit = [&commits] { commits.fetch_add(1); };
         return OkStatus();
       },

@@ -317,7 +317,9 @@ TEST_P(ThreadCounts, InstantiateBitIdenticalToExact) {
       std::optional<PointSet> screened =
           Instantiate(coreset, layout.pts, *metric, range);
       ASSERT_EQ(screened.has_value(), exact.has_value()) << ctx;
-      if (exact.has_value()) EXPECT_EQ(*screened, *exact) << ctx;
+      if (exact.has_value()) {
+        EXPECT_EQ(*screened, *exact) << ctx;
+      }
     }
   }
   SetGlobalThreadPoolSize(1);
