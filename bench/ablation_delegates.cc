@@ -53,6 +53,7 @@ int main(int argc, char** argv) {
     dopts.k = k;
     dopts.seed = 9000 + static_cast<uint64_t>(run);
     PointSet pts = GenerateSphereDataset(dopts);
+    const Dataset data = Dataset::FromPoints(pts);
 
     MrOptions base;
     base.k = k;
@@ -63,7 +64,7 @@ int main(int argc, char** argv) {
 
     {
       MapReduceDiversity mr(&metric, problem, base);
-      MrResult r = mr.Run(pts);
+      MrResult r = bench::OrExit(mr.TryRun(data));
       rows[0].coreset += static_cast<double>(r.coreset_size);
       rows[0].div += r.diversity;
     }
@@ -71,13 +72,13 @@ int main(int argc, char** argv) {
       MrOptions o = base;
       o.randomized_delegate_cap = true;
       MapReduceDiversity mr(&metric, problem, o);
-      MrResult r = mr.Run(pts);
+      MrResult r = bench::OrExit(mr.TryRun(data));
       rows[1].coreset += static_cast<double>(r.coreset_size);
       rows[1].div += r.diversity;
     }
     {
       MapReduceDiversity mr(&metric, problem, base);
-      MrResult r = mr.RunGeneralized(pts);
+      MrResult r = bench::OrExit(mr.TryRunGeneralized(data));
       rows[2].coreset += static_cast<double>(r.coreset_size);
       rows[2].div += r.diversity;
     }

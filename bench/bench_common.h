@@ -12,12 +12,15 @@
 #include <cstdlib>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/diversity.h"
 #include "core/metric.h"
 #include "core/point.h"
 #include "core/sequential.h"
+#include "mapreduce/mr_diversity.h"
+#include "util/status.h"
 
 namespace diverse {
 namespace bench {
@@ -68,6 +71,17 @@ inline double SolutionDiversity(DiversityProblem problem,
   sol.reserve(indices.size());
   for (size_t i : indices) sol.push_back(points[i]);
   return EvaluateDiversity(problem, sol, metric);
+}
+
+/// The result of a MapReduce run the harness cannot go on without: prints
+/// the error and exits nonzero when the run failed.
+inline MrResult OrExit(StatusOr<MrResult> result) {
+  if (!result.ok()) {
+    std::fprintf(stderr, "MapReduce run failed: %s\n",
+                 result.status().ToString().c_str());
+    std::exit(1);
+  }
+  return std::move(*result);
 }
 
 /// Prints a header banner so bench outputs are self-describing.

@@ -52,6 +52,7 @@ int main(int argc, char** argv) {
     opts.k = k;
     opts.seed = 3000 + static_cast<uint64_t>(run);
     PointSet pts = GenerateSphereDataset(opts);
+    const Dataset data = Dataset::FromPoints(pts);
     for (size_t pi = 0; pi < parallelisms.size(); ++pi) {
       for (size_t mi = 0; mi < mults.size(); ++mi) {
         MrOptions o;
@@ -62,7 +63,7 @@ int main(int argc, char** argv) {
         o.partition = PartitionStrategy::kRandom;
         o.seed = 17 + static_cast<uint64_t>(run);
         MapReduceDiversity mr(&metric, problem, o);
-        div[run][pi][mi] = mr.Run(pts).diversity;
+        div[run][pi][mi] = bench::OrExit(mr.TryRun(data)).diversity;
       }
     }
     // Adversarial partition at parallelism 16, k' = k (the tightest core-set
@@ -74,7 +75,7 @@ int main(int argc, char** argv) {
     o.num_workers = 16;
     o.partition = PartitionStrategy::kAdversarial;
     MapReduceDiversity mr(&metric, problem, o);
-    adv[run] = mr.Run(pts).diversity;
+    adv[run] = bench::OrExit(mr.TryRun(data)).diversity;
   }
 
   auto best_of_run = [&](int run) {
@@ -127,6 +128,7 @@ int main(int argc, char** argv) {
     topts.max_terms = 150;
     topts.seed = 3;
     PointSet docs = GenerateSparseTextDataset(topts);
+    const Dataset doc_data = Dataset::FromPoints(docs);
     double text_div[2];
     PartitionStrategy strategies[2] = {PartitionStrategy::kRandom,
                                        PartitionStrategy::kAdversarial};
@@ -138,7 +140,7 @@ int main(int argc, char** argv) {
       o.num_workers = 16;
       o.partition = strategies[s];
       MapReduceDiversity mr(&cosine, problem, o);
-      text_div[s] = mr.Run(docs).diversity;
+      text_div[s] = bench::OrExit(mr.TryRun(doc_data)).diversity;
     }
     std::printf("adversarial partitioning, text corpus (k = k' = 32): div "
                 "%.4f vs random %.4f (%.1f%% worse)\n\n",

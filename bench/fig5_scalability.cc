@@ -53,6 +53,7 @@ int main(int argc, char** argv) {
     opts.k = k;
     opts.seed = 5000;
     PointSet pts = GenerateSphereDataset(opts);
+    const Dataset data = Dataset::FromPoints(pts);
     std::vector<std::string> row = {std::to_string(n)};
     for (size_t p : procs) {
       Timer timer;
@@ -67,7 +68,7 @@ int main(int argc, char** argv) {
         o.num_partitions = p;
         o.num_workers = p;
         MapReduceDiversity mr(&metric, problem, o);
-        mr.Run(pts);
+        bench::OrExit(mr.TryRun(data));
       }
       row.push_back(TablePrinter::Fmt(timer.Seconds(), 2));
     }
@@ -84,6 +85,7 @@ int main(int argc, char** argv) {
     opts.k = k;
     opts.seed = 5001;
     PointSet pts = GenerateSphereDataset(opts);
+    const Dataset data = Dataset::FromPoints(pts);
     TablePrinter ktable({"k' per reducer", "time (s)"});
     for (size_t kp : {64u, 128u, 256u, 512u}) {
       MrOptions o;
@@ -93,7 +95,7 @@ int main(int argc, char** argv) {
       o.num_workers = 8;
       MapReduceDiversity mr(&metric, problem, o);
       Timer timer;
-      mr.Run(pts);
+      bench::OrExit(mr.TryRun(data));
       ktable.AddRow({std::to_string(kp), TablePrinter::Fmt(timer.Seconds(), 2)});
     }
     std::printf("fixed n = %zu, p = 8: time vs k' (expected linear):\n%s\n",

@@ -1147,8 +1147,9 @@ void BM_MrFaultRecovery(benchmark::State& state) {
   o.seed = 23;
   if (faulty) o.faults = &faults;
   MapReduceDiversity driver(&m, DiversityProblem::kRemoteEdge, o);
+  const Dataset data = Dataset::FromPoints(pts);
   for (auto _ : state) {
-    StatusOr<MrResult> r = driver.TryRun(pts);
+    StatusOr<MrResult> r = driver.TryRun(data);
     if (!r.ok()) {
       state.SkipWithError(r.status().ToString().c_str());
       return;

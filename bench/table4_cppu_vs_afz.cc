@@ -49,6 +49,7 @@ int main(int argc, char** argv) {
       dopts.dim = 2;
       dopts.seed = 4000 + k;
       PointSet pts = GenerateSphereDataset(dopts);
+      const Dataset data = Dataset::FromPoints(pts);
 
       AfzOptions aopts;
       aopts.k = k;
@@ -62,7 +63,7 @@ int main(int argc, char** argv) {
       copts.num_partitions = reducers;
       copts.num_workers = workers;
       MapReduceDiversity cppu(&metric, problem, copts);
-      MrResult cppu_r = cppu.Run(pts);
+      MrResult cppu_r = bench::OrExit(cppu.TryRun(data));
 
       double best = std::max(afz.diversity, cppu_r.diversity);
       table.AddRow({TablePrinter::Fmt(static_cast<long long>(size)),

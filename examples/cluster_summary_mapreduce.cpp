@@ -26,7 +26,7 @@ int main() {
   data.n = 100000;
   data.k = 32;
   data.seed = 2024;
-  PointSet points = GenerateSphereDataset(data);
+  const Dataset points(GenerateSphereDataset(data));
 
   EuclideanMetric metric;
   MrOptions opts;
@@ -42,23 +42,30 @@ int main() {
 
   std::printf("%-28s %8s %10s %10s %10s %8s\n", "variant", "rounds",
               "|T| pts", "M_L pts", "shuffle", "div");
-  auto report = [](const char* name, const MrResult& r) {
+  int exit_code = 0;
+  auto report = [&exit_code](const char* name, const StatusOr<MrResult>& run) {
+    if (!run.ok()) {
+      std::printf("%-28s failed: %s\n", name, run.status().ToString().c_str());
+      exit_code = 1;
+      return;
+    }
+    const MrResult& r = *run;
     std::printf("%-28s %8zu %10zu %10zu %10zu %8.2f\n", name, r.rounds,
                 r.coreset_size, r.max_local_memory_points, r.shuffle_points,
                 r.diversity);
   };
 
-  report("2-round deterministic", mr.Run(points));
+  report("2-round deterministic", mr.TryRun(points));
 
   MrOptions ropts = opts;
   ropts.randomized_delegate_cap = true;
   MapReduceDiversity mr_rand(&metric, problem, ropts);
-  report("2-round randomized (Thm 7)", mr_rand.Run(points));
+  report("2-round randomized (Thm 7)", mr_rand.TryRun(points));
 
-  report("3-round generalized (Thm 10)", mr.RunGeneralized(points));
+  report("3-round generalized (Thm 10)", mr.TryRunGeneralized(points));
 
   // Multi-round recursion (Theorem 8) under a tight local-memory budget.
   report("recursive (Thm 8, ML=4096)",
-         mr.RunRecursive(points, /*local_memory_budget=*/4096));
-  return 0;
+         mr.TryRunRecursive(points, /*local_memory_budget=*/4096));
+  return exit_code;
 }

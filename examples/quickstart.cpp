@@ -3,7 +3,7 @@
 // MapReduce.
 //
 // Build & run:
-//   cmake -B build -G Ninja && cmake --build build
+//   cmake -B build && cmake --build build
 //   ./build/examples/quickstart
 
 #include <cstdio>
@@ -49,7 +49,15 @@ int main() {
   opts.num_partitions = 8;
   opts.num_workers = 4;
   MapReduceDiversity mr(&metric, DiversityProblem::kRemoteEdge, opts);
-  MrResult mres = mr.Run(points);
+  // The drivers run on columnar Dataset storage and report failures (e.g. a
+  // reducer that exhausted its retries) as a Status.
+  StatusOr<MrResult> run = mr.TryRun(Dataset::FromPoints(points));
+  if (!run.ok()) {
+    std::fprintf(stderr, "mapreduce failed: %s\n",
+                 run.status().ToString().c_str());
+    return 1;
+  }
+  const MrResult& mres = *run;
   std::printf("mapreduce remote-edge:  div = %.4f (%zu rounds, |T| = %zu, M_L = %zu pts)\n",
               mres.diversity, mres.rounds, mres.coreset_size,
               mres.max_local_memory_points);

@@ -2,14 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 
-#include "core/cover_tree.h"
-#include "core/screen.h"
 #include "core/sequential.h"
 #include "mapreduce/mr_diversity.h"
 #include "streaming/streaming_diversity.h"
-#include "util/check.h"
 #include "util/timer.h"
 
 namespace diverse {
@@ -94,21 +90,30 @@ bool PointIsFinite(const Point& p) {
   return true;
 }
 
-// The strict-contract checks of TrySolve (Solve keeps its historical
-// clamping behavior and skips these).
-Status ValidateSolveInput(const PointSet& points, const SolveOptions& o) {
+// The contract checks of TrySolve, run before any backend state is built.
+Status ValidateSolveInput(const Dataset& data, const SolveOptions& o) {
   if (o.k == 0) {
     return InvalidArgumentError("k must be at least 1");
   }
-  if (o.k > points.size()) {
+  if (o.k > data.size()) {
     return InvalidArgumentError("k (" + std::to_string(o.k) +
                                 ") exceeds the input size (" +
-                                std::to_string(points.size()) + ")");
+                                std::to_string(data.size()) + ")");
   }
   if (o.k_prime != 0 && o.k_prime < o.k) {
     return InvalidArgumentError("k_prime (" + std::to_string(o.k_prime) +
                                 ") must be 0 (auto) or at least k (" +
                                 std::to_string(o.k) + ")");
+  }
+  if (o.backend == Backend::kMapReduceRecursive &&
+      o.local_memory_budget != 0) {
+    const size_t k_prime = Normalize(o).k_prime;
+    if (o.local_memory_budget < k_prime) {
+      return InvalidArgumentError(
+          "local_memory_budget (" + std::to_string(o.local_memory_budget) +
+          ") must be 0 (auto) or at least k' (" + std::to_string(k_prime) +
+          ")");
+    }
   }
   if ((o.backend == Backend::kStreamingTwoPass ||
        o.backend == Backend::kMapReduceGeneralized) &&
@@ -119,8 +124,8 @@ Status ValidateSolveInput(const PointSet& points, const SolveOptions& o) {
         "injective-proxy problems; '" +
         ProblemName(o.problem) + "' is not one");
   }
-  for (size_t i = 0; i < points.size(); ++i) {
-    if (!PointIsFinite(points[i])) {
+  for (size_t i = 0; i < data.size(); ++i) {
+    if (!PointIsFinite(data.point(i))) {
       return InvalidArgumentError("input point " + std::to_string(i) +
                                   " has a non-finite (NaN/inf) coordinate");
     }
@@ -130,32 +135,38 @@ Status ValidateSolveInput(const PointSet& points, const SolveOptions& o) {
 
 }  // namespace
 
-namespace {
-
-// The streaming backends consume the retained value-typed points (the
-// stream engines copy what they keep); the MapReduce drivers take the
-// Dataset itself and hand each reducer a row view of it.
-StatusOr<SolveResult> TrySolveStreamingOrMr(const Dataset& data,
-                                            const Metric& metric,
-                                            const SolveOptions& o) {
-  const PointSet& points = data.points();
+StatusOr<SolveResult> TrySolve(const Dataset& data, const Metric& metric,
+                               const SolveOptions& options) {
+  DIVERSE_RETURN_IF_ERROR(ValidateSolveInput(data, options));
+  const SolveOptions o = Normalize(options);
+  Timer timer;
   SolveResult result;
+  // The sequential solver and the MapReduce drivers run on the Dataset's
+  // rows; the streaming backends consume its retained value-typed points
+  // (the stream engines copy what they keep).
   switch (o.backend) {
-    case Backend::kSequential:
-      DIVERSE_CHECK(false);  // handled by the Solve overloads
+    case Backend::kSequential: {
+      std::vector<size_t> picked =
+          SolveSequential(o.problem, data, metric, o.k);
+      for (size_t idx : picked) result.solution.push_back(data.point(idx));
+      // Evaluate straight off the dataset rows (tiled restricted matrix);
+      // bit-identical to evaluating the copied solution PointSet.
+      result.diversity =
+          EvaluateDiversitySubset(o.problem, data, picked, metric);
       break;
+    }
     case Backend::kStreaming: {
       StreamingDiversity sd(&metric, o.problem, o.k, o.k_prime);
-      for (const Point& p : points) sd.Update(p);
+      for (const Point& p : data.points()) sd.Update(p);
       result = FromStreaming(sd.Finalize());
       result.rounds_or_passes = 1;
       break;
     }
     case Backend::kStreamingTwoPass: {
       TwoPassStreamingDiversity sd(&metric, o.problem, o.k, o.k_prime);
-      for (const Point& p : points) sd.UpdateFirstPass(p);
+      for (const Point& p : data.points()) sd.UpdateFirstPass(p);
       sd.EndFirstPass();
-      for (const Point& p : points) sd.UpdateSecondPass(p);
+      for (const Point& p : data.points()) sd.UpdateSecondPass(p);
       result = FromStreaming(sd.Finalize());
       result.rounds_or_passes = 2;
       break;
@@ -190,79 +201,8 @@ StatusOr<SolveResult> TrySolveStreamingOrMr(const Dataset& data,
       break;
     }
   }
-  return result;
-}
-
-SolveResult SolveStreamingOrMr(const Dataset& data, const Metric& metric,
-                               const SolveOptions& o) {
-  StatusOr<SolveResult> result = TrySolveStreamingOrMr(data, metric, o);
-  if (!result.ok()) {
-    std::fprintf(stderr, "Solve failed: %s\n",
-                 result.status().ToString().c_str());
-  }
-  DIVERSE_CHECK(result.ok());
-  return std::move(*result);
-}
-
-}  // namespace
-
-SolveResult Solve(const Dataset& data, const Metric& metric,
-                  const SolveOptions& options) {
-  // Empty input: empty solution with zero diversity, on every backend (the
-  // algorithms themselves require n >= 1; the API normalizes the vacuous
-  // case so callers feeding live streams need no emptiness pre-check).
-  if (data.empty()) return {};
-  SolveOptions o = Normalize(options);
-  // The flag can only disable screening for this call; when true the
-  // process-global default (on unless SetScreeningEnabled(false)) applies.
-  ScopedScreening screening_guard(o.screening && ScreeningEnabled());
-  ScopedIndexing indexing_guard(o.indexing && IndexingEnabled());
-  Timer timer;
-  SolveResult result;
-  if (o.backend == Backend::kSequential) {
-    size_t k = std::min(o.k, data.size());
-    std::vector<size_t> picked = SolveSequential(o.problem, data, metric, k);
-    for (size_t idx : picked) result.solution.push_back(data.point(idx));
-    // Evaluate straight off the dataset rows (tiled restricted matrix);
-    // bit-identical to evaluating the copied solution PointSet.
-    result.diversity = EvaluateDiversitySubset(o.problem, data, picked, metric);
-  } else {
-    result = SolveStreamingOrMr(data, metric, o);
-  }
   result.seconds = timer.Seconds();
   return result;
-}
-
-SolveResult Solve(const PointSet& points, const Metric& metric,
-                  const SolveOptions& options) {
-  return Solve(Dataset::FromPoints(points), metric, options);
-}
-
-StatusOr<SolveResult> TrySolve(const Dataset& data, const Metric& metric,
-                               const SolveOptions& options) {
-  DIVERSE_RETURN_IF_ERROR(ValidateSolveInput(data.points(), options));
-  SolveOptions o = Normalize(options);
-  ScopedScreening screening_guard(o.screening && ScreeningEnabled());
-  ScopedIndexing indexing_guard(o.indexing && IndexingEnabled());
-  Timer timer;
-  SolveResult result;
-  if (o.backend == Backend::kSequential) {
-    // k <= n is validated above, so no clamping happens here.
-    std::vector<size_t> picked = SolveSequential(o.problem, data, metric, o.k);
-    for (size_t idx : picked) result.solution.push_back(data.point(idx));
-    result.diversity = EvaluateDiversitySubset(o.problem, data, picked, metric);
-  } else {
-    StatusOr<SolveResult> run = TrySolveStreamingOrMr(data, metric, o);
-    if (!run.ok()) return run.status();
-    result = std::move(*run);
-  }
-  result.seconds = timer.Seconds();
-  return result;
-}
-
-StatusOr<SolveResult> TrySolve(const PointSet& points, const Metric& metric,
-                               const SolveOptions& options) {
-  return TrySolve(Dataset::FromPoints(points), metric, options);
 }
 
 }  // namespace diverse

@@ -1,9 +1,9 @@
-// Unified front door: one configuration struct and one Solve() call that
-// dispatches to the sequential, streaming (1- or 2-pass), or MapReduce
-// (2-round, randomized, 3-round generalized, recursive) back end. This is
-// the API the CLI tool and most downstream users go through; the individual
-// drivers remain available for callers that need streaming Update() hooks
-// or custom partitioning.
+// Unified front door: one configuration struct and one fallible TrySolve()
+// call on a columnar Dataset that dispatches to the sequential, streaming
+// (1- or 2-pass), or MapReduce (2-round, randomized, 3-round generalized,
+// recursive) back end. This is the API the CLI tool, the benchmarks and most
+// downstream users go through; the individual drivers remain available for
+// callers that need streaming Update() hooks or custom partitioning.
 
 #ifndef DIVERSE_API_SOLVE_H_
 #define DIVERSE_API_SOLVE_H_
@@ -40,7 +40,7 @@ std::string BackendName(Backend backend);
 /// *ok to false if provided).
 Backend ParseBackend(const std::string& name, bool* ok = nullptr);
 
-/// Full configuration for Solve().
+/// Full configuration for TrySolve().
 struct SolveOptions {
   DiversityProblem problem = DiversityProblem::kRemoteEdge;
   Backend backend = Backend::kSequential;
@@ -52,23 +52,9 @@ struct SolveOptions {
   size_t num_partitions = 0;
   /// MapReduce: simulated processors. 0 means "auto": num_partitions.
   size_t num_workers = 0;
-  /// MapReduce recursive backend: local memory budget in points.
-  /// 0 means "auto": max(4 k' k, 1024).
+  /// MapReduce recursive backend: local memory budget in points; must be 0
+  /// or at least the effective k'. 0 means "auto": max(4 k' k, 1024).
   size_t local_memory_budget = 0;
-  /// Mixed-precision screening of the distance-dominated loops
-  /// (core/screen.h): fp32 sweeps with certified error bounds decide which
-  /// candidates need exact double evaluation. Results are bit-identical
-  /// either way — set false to force the exact-only path (A/B benchmarking,
-  /// escape hatch). The flag scopes a process-global toggle for the
-  /// duration of the call.
-  bool screening = true;
-  /// Metric-index tier (core/cover_tree.h): cover-tree node bounds prune
-  /// whole row ranges above the fp32 screen, and GMM runs its lazy-greedy
-  /// traversal, when the metric supports triangle-inequality pruning and
-  /// the deterministic profitability probe approves. Bit-identical either
-  /// way — set false to pin the flat screened sweeps (A/B benchmarking,
-  /// escape hatch). Scopes the process-global toggle like `screening`.
-  bool indexing = true;
   uint64_t seed = 1;
 
   // Fault tolerance (MapReduce backends; see README "Fault tolerance &
@@ -102,9 +88,9 @@ struct SolveOptions {
   bool tree_reduce = false;
 };
 
-/// Outcome of Solve().
+/// Outcome of TrySolve().
 struct SolveResult {
-  /// The selected points (k, or fewer if the input was smaller).
+  /// The k selected points.
   PointSet solution;
   /// div(solution) under options.problem.
   double diversity = 0.0;
@@ -120,40 +106,24 @@ struct SolveResult {
 };
 
 /// Solves diversity maximization on the rows of `data` with the configured
-/// backend. `metric` must outlive the call. An empty input yields an empty
-/// solution with zero diversity on every backend.
-/// Backends that need injective proxies reject remote-edge/remote-cycle
-/// inputs only where the paper's algorithm is undefined
-/// (kStreamingTwoPass and kMapReduceGeneralized); everything else accepts
-/// all six problems. Every backend runs its distance-dominated loops on the
-/// columnar batch kernels; callers that solve repeatedly on one input
-/// should build the Dataset once and use this overload.
-SolveResult Solve(const Dataset& data, const Metric& metric,
-                  const SolveOptions& options);
-
-/// Shim: copies `points` into a Dataset once and solves on it.
-SolveResult Solve(const PointSet& points, const Metric& metric,
-                  const SolveOptions& options);
-
-/// Strictly validated entry point. Unlike Solve() — which keeps its
-/// historical clamping contract (k > n is clamped to n, empty input yields
-/// an empty result) — TrySolve rejects structurally invalid requests with a
-/// structured error instead of silently adjusting them:
+/// backend. `metric` must outlive the call. Every backend runs its
+/// distance-dominated loops on the columnar batch kernels (screened and,
+/// where profitable, indexed — bit-identical to the exact reference path);
+/// callers that solve repeatedly on one input should build the Dataset once.
+/// Concurrent calls may share one `data`: the call only reads it.
+///
+/// Requests are validated, never silently adjusted:
 ///   * kInvalidArgument: k == 0; k > n (including empty input); k' < k;
-///     a non-finite (NaN/inf) input coordinate; a backend/problem pairing
-///     the paper's algorithms are undefined for (generalized core-set
-///     backends on non-injective-proxy problems).
+///     a recursive-backend local_memory_budget below the effective k'; a
+///     non-finite (NaN/inf) input coordinate; a backend/problem pairing the
+///     paper's algorithms are undefined for (the generalized core-set
+///     backends kStreamingTwoPass and kMapReduceGeneralized on
+///     non-injective-proxy problems).
 /// MapReduce task failures surface as the underlying driver error
 /// (kDataLoss, kAborted, ...) when recovery and degradation cannot
 /// complete the run.
 DIVERSE_MUST_USE StatusOr<SolveResult> TrySolve(
     const Dataset& data, const Metric& metric, const SolveOptions& options);
-
-/// Shim: copies `points` into a Dataset once and runs the Dataset overload
-/// (validation included).
-DIVERSE_MUST_USE StatusOr<SolveResult> TrySolve(
-    const PointSet& points, const Metric& metric,
-    const SolveOptions& options);
 
 }  // namespace diverse
 

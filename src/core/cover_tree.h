@@ -57,13 +57,13 @@
 namespace diverse {
 
 /// Process-global indexing toggle, default on. Results are bit-identical
-/// either way (the mirror of SetScreeningEnabled for the metric-index tier);
-/// the toggle exists for A/B benchmarking and as an escape hatch
-/// (SolveOptions::indexing, --indexing=0).
+/// either way (the mirror of SetScreeningEnabled for the metric-index tier).
+/// It is a test/bench hook for pinning the flat screened sweeps: no library
+/// entry point writes it.
 bool IndexingEnabled();
 void SetIndexingEnabled(bool enabled);
 
-/// RAII override of the global indexing toggle (used by Solve and tests).
+/// RAII override of the global indexing toggle (tests and benchmarks).
 class ScopedIndexing {
  public:
   explicit ScopedIndexing(bool enabled);

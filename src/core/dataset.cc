@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <limits>
 #include <utility>
 
 #include "util/check.h"
@@ -51,17 +50,12 @@ void Dataset::AppendColumnar(const Point& p) {
   }
   col_occupancy_valid_ = false;
   content_stamp_ = NextContentStamp();
-  // A valid screen-stats cache stays valid: fold the new row's norm in
-  // instead of invalidating (the lazy rebuild is O(n), and SMM's merge loop
-  // appends to a mirror it screens against after every append).
-  if (screen_stats_valid_) {
-    double n = p.norm();
-    if (n > 0.0) {
-      screen_stats_.min_positive_norm =
-          std::min(screen_stats_.min_positive_norm, n);
-    }
-    screen_stats_.max_norm = std::max(screen_stats_.max_norm, n);
+  const double n = p.norm();
+  if (n > 0.0) {
+    screen_stats_.min_positive_norm =
+        std::min(screen_stats_.min_positive_norm, n);
   }
+  screen_stats_.max_norm = std::max(screen_stats_.max_norm, n);
   RowRef r;
   if (p.is_sparse()) {
     const auto& idx = p.sparse_indices();
@@ -83,7 +77,7 @@ void Dataset::AppendColumnar(const Point& p) {
     dense_.insert(dense_.end(), val.begin(), val.end());
   }
   rows_.push_back(r);
-  norms_.push_back(p.norm());
+  norms_.push_back(n);
 }
 
 void Dataset::Assign(std::span<const Point> points) {
@@ -107,7 +101,7 @@ void Dataset::Clear() {
   dim_ = 0;
   sparse_stats_ = SparseStats();
   col_occupancy_valid_ = false;
-  screen_stats_valid_ = false;
+  screen_stats_ = ScreenStats();
   content_stamp_ = NextContentStamp();
 }
 
@@ -130,7 +124,6 @@ void Dataset::AssignGather(const Dataset& src,
   csr_indices_.reserve(csr_total);
   csr_values_.reserve(csr_total);
   ScreenStats s;
-  s.min_positive_norm = std::numeric_limits<double>::infinity();
   for (uint32_t ri : rows) {
     const RowRef& rr = src.rows_[ri];
     RowRef out = rr;
@@ -158,22 +151,7 @@ void Dataset::AssignGather(const Dataset& src,
     s.max_norm = std::max(s.max_norm, n);
   }
   screen_stats_ = s;
-  screen_stats_valid_ = true;
   content_stamp_ = NextContentStamp();
-}
-
-const Dataset::ScreenStats& Dataset::screen_stats() const {
-  if (!screen_stats_valid_) {
-    ScreenStats s;
-    s.min_positive_norm = std::numeric_limits<double>::infinity();
-    for (double n : norms_) {
-      if (n > 0.0) s.min_positive_norm = std::min(s.min_positive_norm, n);
-      s.max_norm = std::max(s.max_norm, n);
-    }
-    screen_stats_ = s;
-    screen_stats_valid_ = true;
-  }
-  return screen_stats_;
 }
 
 void Dataset::BuildColumnOccupancy() {

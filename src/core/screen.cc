@@ -137,8 +137,7 @@ size_t ScreenedRelaxTilesAndArgFarthest(const Metric& metric,
   if (!assignment.empty()) DIVERSE_CHECK_EQ(assignment.size(), n);
   if (n == 0) return 0;
 
-  // One bound for the whole sweep; reading it also builds both datasets'
-  // lazy screen stats on this thread, before the parallel fan-out. A
+  // One bound for the whole sweep, computed before the parallel fan-out. A
   // degenerate bound (rel >= 1 — possible only at astronomical term
   // counts) would invert the skip-threshold transform, so such sweeps run
   // exact instead.

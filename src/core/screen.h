@@ -24,7 +24,7 @@
 //     deterministic at any thread count, and the exact-eval count of a
 //     screened sweep never exceeds what the pre-screening path paid.
 //   * Every sweep falls back to the exact path when screening is disabled
-//     (SetScreeningEnabled / SolveOptions::screening) or the metric reports
+//     (the SetScreeningEnabled test/bench hook) or the metric reports
 //     ScreeningProfitable() == false (Jaccard, user-defined metrics).
 //
 // Screening changes *when* exactness is paid for, never the answer.
@@ -112,13 +112,14 @@ void CollectScreenRescues(const float* t, const float* thr, size_t count,
                           uint32_t base, std::vector<uint32_t>& out);
 
 /// Process-global screening toggle, default on. Results are bit-identical
-/// either way; the toggle exists for A/B benchmarking and as an escape
-/// hatch. Concurrent Solves with opposing SolveOptions::screening flags see
-/// a racy-but-harmless value (each sweep reads it once on entry).
+/// either way. It is a test/bench hook for pinning the exact reference path
+/// (the oracles compare screened against exact results; micro-benchmarks
+/// A/B the two): no library entry point writes it, so solves always run
+/// screened unless a test or benchmark flips it for the whole process.
 bool ScreeningEnabled();
 void SetScreeningEnabled(bool enabled);
 
-/// RAII override of the global toggle (used by Solve and tests).
+/// RAII override of the global toggle (tests and benchmarks).
 class ScopedScreening {
  public:
   explicit ScopedScreening(bool enabled);
@@ -165,7 +166,7 @@ struct RelaxScreenPlan {
 };
 
 /// Builds the plan for sweeps of queries-rows against `data` (reads both
-/// datasets' lazy screen stats on the calling thread, before any fan-out).
+/// datasets' screen stats).
 RelaxScreenPlan PlanScreenedRelax(const Metric& metric, const Dataset& queries,
                                   const Dataset& data);
 

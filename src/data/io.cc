@@ -266,40 +266,32 @@ StatusOr<PointSet> TryLoadPointsBinary(const std::string& path) {
   return TryParsePointsBinary(*bytes, path);
 }
 
-StatusOr<Dataset> TryLoadDatasetText(const std::string& path) {
-  StatusOr<PointSet> points = TryLoadPointsText(path);
+namespace {
+
+// A Dataset holds one ambient dimension; reject mixed-dimension input with a
+// Status before the columnar build would CHECK on it.
+StatusOr<Dataset> DatasetFromLoaded(StatusOr<PointSet> points,
+                                    const std::string& path) {
   if (!points.ok()) return points.status();
+  for (size_t i = 1; i < points->size(); ++i) {
+    if ((*points)[i].dim() != (*points)[0].dim()) {
+      return InvalidArgumentError(
+          "record " + std::to_string(i) + " of " + Quoted(path) +
+          " has dim " + std::to_string((*points)[i].dim()) + ", but record 0 "
+          "has dim " + std::to_string((*points)[0].dim()));
+    }
+  }
   return Dataset(std::move(*points));
+}
+
+}  // namespace
+
+StatusOr<Dataset> TryLoadDatasetText(const std::string& path) {
+  return DatasetFromLoaded(TryLoadPointsText(path), path);
 }
 
 StatusOr<Dataset> TryLoadDatasetBinary(const std::string& path) {
-  StatusOr<PointSet> points = TryLoadPointsBinary(path);
-  if (!points.ok()) return points.status();
-  return Dataset(std::move(*points));
-}
-
-std::optional<PointSet> LoadPointsText(const std::string& path) {
-  StatusOr<PointSet> points = TryLoadPointsText(path);
-  if (!points.ok()) return std::nullopt;
-  return std::move(*points);
-}
-
-std::optional<PointSet> LoadPointsBinary(const std::string& path) {
-  StatusOr<PointSet> points = TryLoadPointsBinary(path);
-  if (!points.ok()) return std::nullopt;
-  return std::move(*points);
-}
-
-std::optional<Dataset> LoadDatasetText(const std::string& path) {
-  StatusOr<Dataset> data = TryLoadDatasetText(path);
-  if (!data.ok()) return std::nullopt;
-  return std::move(*data);
-}
-
-std::optional<Dataset> LoadDatasetBinary(const std::string& path) {
-  StatusOr<Dataset> data = TryLoadDatasetBinary(path);
-  if (!data.ok()) return std::nullopt;
-  return std::move(*data);
+  return DatasetFromLoaded(TryLoadPointsBinary(path), path);
 }
 
 }  // namespace diverse

@@ -12,13 +12,12 @@
 // io.cc for the exact layout. Both formats round-trip dense and sparse
 // points exactly.
 //
-// The Try* loaders are the primary interface: they validate everything a
-// hostile or half-written file could get wrong (missing file, bad magic,
-// truncated header or record, unknown record tag, nnz > dim, unsorted or
-// out-of-range sparse indices, a record count larger than the file could
-// possibly hold, malformed text lines) and return a Status naming the
-// offending record or line. The optional-returning loaders are shims over
-// them for callers that only care about success.
+// The Try* loaders validate everything a hostile or half-written file could
+// get wrong (missing file, bad magic, truncated header or record, unknown
+// record tag, nnz > dim, unsorted or out-of-range sparse indices, a record
+// count larger than the file could possibly hold, malformed text lines) and
+// return a Status naming the offending record or line. The Dataset loaders
+// also reject records of mixed dimension.
 
 #ifndef DIVERSE_DATA_IO_H_
 #define DIVERSE_DATA_IO_H_
@@ -116,19 +115,16 @@ bool SavePointsBinary(const PointSet& points, const std::string& path);
 DIVERSE_MUST_USE StatusOr<PointSet> TryLoadPointsBinary(const std::string& path);
 
 /// Reads a text-format file directly into columnar Dataset storage, ready
-/// for the batched kernels. Same errors as TryLoadPointsText.
+/// for the batched kernels. Same errors as TryLoadPointsText, plus
+/// kInvalidArgument (naming the first offending record) when the records do
+/// not share one dimension — a Dataset holds a single ambient dimension,
+/// while the PointSet loaders accept mixed dimensions.
 DIVERSE_MUST_USE StatusOr<Dataset> TryLoadDatasetText(const std::string& path);
 
 /// Reads a binary-format file directly into columnar Dataset storage.
-/// Same errors as TryLoadPointsBinary.
+/// Same errors as TryLoadPointsBinary, plus the dimension check of
+/// TryLoadDatasetText.
 DIVERSE_MUST_USE StatusOr<Dataset> TryLoadDatasetBinary(const std::string& path);
-
-/// Shims over the Try* loaders: nullopt on any failure, diagnostics
-/// discarded.
-std::optional<PointSet> LoadPointsText(const std::string& path);
-std::optional<PointSet> LoadPointsBinary(const std::string& path);
-std::optional<Dataset> LoadDatasetText(const std::string& path);
-std::optional<Dataset> LoadDatasetBinary(const std::string& path);
 
 /// Serializes one point to its text-format line (no trailing newline).
 std::string PointToTextLine(const Point& point);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <limits>
 #include <string>
 #include <utility>
@@ -666,7 +665,11 @@ StatusOr<MrResult> MapReduceDiversity::TryRunGeneralized(
 
 StatusOr<MrResult> MapReduceDiversity::TryRunRecursive(
     const Dataset& input, size_t local_memory_budget) const {
-  DIVERSE_CHECK_GE(local_memory_budget, options_.k_prime);
+  if (local_memory_budget < options_.k_prime) {
+    return InvalidArgumentError(
+        "local memory budget (" + std::to_string(local_memory_budget) +
+        ") must be at least k' (" + std::to_string(options_.k_prime) + ")");
+  }
   Timer total;
   MrResult result;
   MapReduceSimulator sim(options_.num_workers);
@@ -752,46 +755,6 @@ StatusOr<MrResult> MapReduceDiversity::TryRunRecursive(
   AccumulateRoundStats(sim, &result);
   result.total_seconds = total.Seconds();
   return result;
-}
-
-namespace {
-
-MrResult UnwrapOrDie(StatusOr<MrResult> result) {
-  if (!result.ok()) {
-    std::fprintf(stderr, "MapReduce run failed: %s\n",
-                 result.status().ToString().c_str());
-  }
-  DIVERSE_CHECK(result.ok());
-  return std::move(*result);
-}
-
-}  // namespace
-
-StatusOr<MrResult> MapReduceDiversity::TryRun(const PointSet& input) const {
-  return TryRun(Dataset::FromPoints(input));
-}
-
-StatusOr<MrResult> MapReduceDiversity::TryRunGeneralized(
-    const PointSet& input) const {
-  return TryRunGeneralized(Dataset::FromPoints(input));
-}
-
-StatusOr<MrResult> MapReduceDiversity::TryRunRecursive(
-    const PointSet& input, size_t local_memory_budget) const {
-  return TryRunRecursive(Dataset::FromPoints(input), local_memory_budget);
-}
-
-MrResult MapReduceDiversity::Run(const PointSet& input) const {
-  return UnwrapOrDie(TryRun(input));
-}
-
-MrResult MapReduceDiversity::RunGeneralized(const PointSet& input) const {
-  return UnwrapOrDie(TryRunGeneralized(input));
-}
-
-MrResult MapReduceDiversity::RunRecursive(const PointSet& input,
-                                          size_t local_memory_budget) const {
-  return UnwrapOrDie(TryRunRecursive(input, local_memory_budget));
 }
 
 }  // namespace diverse

@@ -1,39 +1,39 @@
 // MapReduce diversity maximization — the "CPPU" algorithms of the paper.
 //
-//   * Run()            — the 2-round algorithm of Theorem 6: round 1 computes
-//                        a composable core-set (GMM for remote-edge/-cycle,
-//                        GMM-EXT for the other four) on each partition;
-//                        round 2 aggregates the core-sets in one reducer and
-//                        runs the sequential alpha-approximation. With the
-//                        randomized delegate cap of Theorem 7 enabled, round
-//                        1 caps delegates at Theta(max(log n, k/l)) instead
-//                        of k-1, shrinking the aggregate core-set.
-//   * RunGeneralized() — the 3-round algorithm of Theorem 10 (injective-proxy
-//                        problems only): round 1 GMM-GEN, round 2 solves the
-//                        multiset problem on the merged generalized core-set,
-//                        round 3 instantiates distinct delegates per
-//                        partition.
-//   * RunRecursive()   — the multi-round recursion of Theorem 8: core-sets of
-//                        core-sets until the aggregate fits the local memory
-//                        budget.
+//   * TryRun()            — the 2-round algorithm of Theorem 6: round 1
+//                           computes a composable core-set (GMM for
+//                           remote-edge/-cycle, GMM-EXT for the other four)
+//                           on each partition; round 2 aggregates the
+//                           core-sets in one reducer and runs the sequential
+//                           alpha-approximation. With the randomized
+//                           delegate cap of Theorem 7 enabled, round 1 caps
+//                           delegates at Theta(max(log n, k/l)) instead of
+//                           k-1, shrinking the aggregate core-set.
+//   * TryRunGeneralized() — the 3-round algorithm of Theorem 10
+//                           (injective-proxy problems only): round 1
+//                           GMM-GEN, round 2 solves the multiset problem on
+//                           the merged generalized core-set, round 3
+//                           instantiates distinct delegates per partition.
+//   * TryRunRecursive()   — the multi-round recursion of Theorem 8:
+//                           core-sets of core-sets until the aggregate fits
+//                           the local memory budget.
 //
-// Every driver partitions its input Dataset as row-index blocks
+// Every driver takes a columnar Dataset, partitions it as row-index blocks
 // (PartitionRows) and hands each round-1 reducer a PartitionRef row view;
 // the reducer gathers its rows inside its own task, so the driver's serial
-// path copies no input point. The PointSet entry points wrap their input
-// into a Dataset once and run the same path.
+// path copies no input point.
 //
 // Every driver executes its rounds on the fault-tolerant executor
 // (MapReduceSimulator::RunFallibleRound): reducer attempts validate their
 // inputs and outputs, failed attempts retry up to MrOptions::max_retries
 // times (re-execution from the pristine partition is bit-identical —
 // deterministic reducers), and stragglers past MrOptions::task_timeout_ms
-// race a speculative duplicate. The Try* entry points surface permanent
-// failures as Status instead of aborting; when a round-1 partition exhausts
-// its retries and MrOptions::allow_degraded is set, the run completes on
-// the surviving partitions and reports a DegradedResult — composability of
-// the core-sets (Theorem 4) means losing a partition shrinks the instance
-// the guarantee speaks about rather than invalidating it.
+// race a speculative duplicate. Permanent failures surface as a Status
+// instead of aborting; when a round-1 partition exhausts its retries and
+// MrOptions::allow_degraded is set, the run completes on the surviving
+// partitions and reports a DegradedResult — composability of the core-sets
+// (Theorem 4) means losing a partition shrinks the instance the guarantee
+// speaks about rather than invalidating it.
 
 #ifndef DIVERSE_MAPREDUCE_MR_DIVERSITY_H_
 #define DIVERSE_MAPREDUCE_MR_DIVERSITY_H_
@@ -172,7 +172,7 @@ struct MrResult {
 /// baseline.
 void AccumulateRoundStats(const MapReduceSimulator& sim, MrResult* result);
 
-/// Driver for the MapReduce algorithms. Thread-safe for concurrent Run()
+/// Driver for the MapReduce algorithms. Thread-safe for concurrent TryRun*()
 /// calls only through distinct instances.
 class MapReduceDiversity {
  public:
@@ -195,24 +195,10 @@ class MapReduceDiversity {
   /// Multi-round recursion (Theorem 8): keeps compressing through rounds of
   /// composable core-sets until the aggregate has at most
   /// `local_memory_budget` points, then solves sequentially. Degradation
-  /// applies at every compression level.
+  /// applies at every compression level. kInvalidArgument when
+  /// `local_memory_budget` is below k' (no level could make progress).
   StatusOr<MrResult> TryRunRecursive(const Dataset& input,
                                      size_t local_memory_budget) const;
-
-  /// Shims: copy `input` into a Dataset once and run the Dataset overload.
-  StatusOr<MrResult> TryRun(const PointSet& input) const;
-  StatusOr<MrResult> TryRunGeneralized(const PointSet& input) const;
-  StatusOr<MrResult> TryRunRecursive(const PointSet& input,
-                                     size_t local_memory_budget) const;
-
-  /// Infallible shims: CHECK that the Try* variant succeeded. With no
-  /// injector configured the only failure sources are misconfiguration
-  /// (checked in the constructor already), so these keep the historical
-  /// contract for callers that opted out of error handling.
-  MrResult Run(const PointSet& input) const;
-  MrResult RunGeneralized(const PointSet& input) const;
-  MrResult RunRecursive(const PointSet& input,
-                        size_t local_memory_budget) const;
 
  private:
   // The core-set construction one partition needs under the configured

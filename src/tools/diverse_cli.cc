@@ -75,8 +75,7 @@ commands:
              mapreduce-randomized|mapreduce-generalized|mapreduce-recursive]
             [--k_prime=N] [--partitions=N] [--workers=N]
             [--metric=euclidean|manhattan|cosine|jaccard] [--out=FILE]
-            [--screening=0|1]  (fp32 screen-then-certify sweeps, default on)
-            [--indexing=0|1]   (cover-tree metric-index tier, default on)
+            (count and duration flags must be non-negative)
             fault tolerance (MapReduce backends):
             [--max-retries=N]      (task retries beyond the first attempt, default 2)
             [--task-timeout-ms=N]  (straggler budget per attempt; 0 = off)
@@ -102,17 +101,20 @@ commands:
   return 2;
 }
 
-StatusOr<PointSet> TryLoadAny(const std::string& path) {
-  if (path.size() > 4 && path.substr(path.size() - 4) == ".txt") {
-    return TryLoadPointsText(path);
-  }
-  return TryLoadPointsBinary(path);
+bool IsTextPath(const std::string& path) {
+  return path.size() > 4 && path.substr(path.size() - 4) == ".txt";
+}
+
+// Loads through the Dataset loaders, which also reject records of mixed
+// dimension (every command needs one ambient dimension).
+StatusOr<Dataset> TryLoadAny(const std::string& path) {
+  return IsTextPath(path) ? TryLoadDatasetText(path)
+                          : TryLoadDatasetBinary(path);
 }
 
 bool SaveAny(const PointSet& pts, const std::string& path,
              const std::string& format) {
-  bool text = format == "txt" ||
-              (path.size() > 4 && path.substr(path.size() - 4) == ".txt");
+  bool text = format == "txt" || IsTextPath(path);
   return text ? SavePointsText(pts, path) : SavePointsBinary(pts, path);
 }
 
@@ -125,12 +127,24 @@ std::unique_ptr<Metric> MakeMetric(const std::string& name) {
 int RunSolve(const CliFlags& flags) {
   std::string in = flags.Get("in", "");
   if (in.empty()) return Usage();
-  StatusOr<PointSet> points = TryLoadAny(in);
-  if (!points.ok()) {
-    std::fprintf(stderr, "error: %s\n", points.status().ToString().c_str());
+  // A negative count would wrap to a huge size_t below: a thread pool or a
+  // worker fleet of that size.
+  for (const char* key :
+       {"k", "k_prime", "partitions", "workers", "max-retries",
+        "task-timeout-ms", "heartbeat-ms", "rpc-deadline-ms", "chunk-kb",
+        "worker-cache-mb"}) {
+    if (flags.GetInt(key, 0) < 0) {
+      std::fprintf(stderr, "error: --%s must be non-negative\n", key);
+      return 1;
+    }
+  }
+  StatusOr<Dataset> loaded = TryLoadAny(in);
+  if (!loaded.ok()) {
+    std::fprintf(stderr, "error: %s\n", loaded.status().ToString().c_str());
     return 1;
   }
-  if (points->empty()) {
+  const Dataset& data = *loaded;
+  if (data.empty()) {
     std::fprintf(stderr, "error: dataset %s is empty\n", in.c_str());
     return 1;
   }
@@ -151,15 +165,6 @@ int RunSolve(const CliFlags& flags) {
     std::fprintf(stderr, "error: unknown metric\n");
     return 1;
   }
-  if ((backend == Backend::kStreamingTwoPass ||
-       backend == Backend::kMapReduceGeneralized) &&
-      !RequiresInjectiveProxies(*problem)) {
-    std::fprintf(stderr,
-                 "error: backend %s is defined only for remote-clique/"
-                 "-star/-bipartition/-tree\n",
-                 BackendName(backend).c_str());
-    return 1;
-  }
 
   SolveOptions opts;
   opts.problem = *problem;
@@ -169,8 +174,6 @@ int RunSolve(const CliFlags& flags) {
   opts.num_partitions = static_cast<size_t>(flags.GetInt("partitions", 0));
   opts.num_workers = static_cast<size_t>(flags.GetInt("workers", 0));
   opts.seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
-  opts.screening = flags.GetInt("screening", 1) != 0;
-  opts.indexing = flags.GetInt("indexing", 1) != 0;
   opts.max_retries = static_cast<size_t>(flags.GetInt("max-retries", 2));
   opts.task_timeout_ms =
       static_cast<uint64_t>(flags.GetInt("task-timeout-ms", 0));
@@ -235,9 +238,6 @@ int RunSolve(const CliFlags& flags) {
     return 1;
   }
 
-  // Move (not copy) the parsed points into the Dataset: the MapReduce
-  // backends partition it as row views and gather inside their reducers.
-  const Dataset data(std::move(*points));
   StatusOr<SolveResult> solved = TrySolve(data, *metric, opts);
   if (!solved.ok()) {
     std::fprintf(stderr, "error: %s\n", solved.status().ToString().c_str());
@@ -330,12 +330,13 @@ int RunGenerate(const CliFlags& flags) {
 int RunEstimate(const CliFlags& flags) {
   std::string in = flags.Get("in", "");
   if (in.empty()) return Usage();
-  StatusOr<PointSet> points = TryLoadAny(in);
-  if (!points.ok()) {
-    std::fprintf(stderr, "error: %s\n", points.status().ToString().c_str());
+  StatusOr<Dataset> loaded = TryLoadAny(in);
+  if (!loaded.ok()) {
+    std::fprintf(stderr, "error: %s\n", loaded.status().ToString().c_str());
     return 1;
   }
-  if (points->size() < 2) {
+  const PointSet& points = loaded->points();
+  if (points.size() < 2) {
     std::fprintf(stderr, "error: dataset %s has fewer than 2 points\n",
                  in.c_str());
     return 1;
@@ -348,8 +349,8 @@ int RunEstimate(const CliFlags& flags) {
   DoublingEstimateOptions opts;
   opts.num_centers = static_cast<size_t>(flags.GetInt("centers", 32));
   opts.max_sample = static_cast<size_t>(flags.GetInt("sample", 2000));
-  DoublingEstimate est = EstimateDoublingDimension(*points, *metric, opts);
-  std::printf("points:            %zu\n", points->size());
+  DoublingEstimate est = EstimateDoublingDimension(points, *metric, opts);
+  std::printf("points:            %zu\n", points.size());
   std::printf("probes:            %zu\n", est.probes);
   std::printf("worst cover size:  %zu\n", est.worst_cover_size);
   std::printf("doubling dim est:  %.2f\n", est.dimension);

@@ -5,6 +5,7 @@
 #include "core/exact.h"
 #include "core/metric.h"
 #include "data/synthetic.h"
+#include "solve_helpers.h"
 
 namespace diverse {
 namespace {
@@ -71,7 +72,7 @@ TEST(AfzTest, CppuBeatsOrMatchesAfzOnPlantedData) {
   cppu_opts.num_workers = 4;
   cppu_opts.seed = 5;
   MapReduceDiversity cppu(&m, DiversityProblem::kRemoteClique, cppu_opts);
-  MrResult cppu_r = cppu.Run(pts);
+  MrResult cppu_r = RunOk(cppu, pts);
 
   EXPECT_GE(cppu_r.diversity, 0.9 * afz.diversity);
 }

@@ -33,6 +33,7 @@
 #include "core/sequential.h"
 #include "data/sparse_text.h"
 #include "data/synthetic.h"
+#include "solve_helpers.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -134,8 +135,7 @@ TEST_P(ApproxRatioThreads, AllBackendsWithinProvenFactorOfOracle) {
             o.problem = p;
             o.backend = Backend::kSequential;
             o.k = kK;
-            o.screening = screening;
-            SolveResult r = Solve(layout.pts, *metric, o);
+            SolveResult r = SolveOk(layout.pts, *metric, o);
             ASSERT_EQ(r.solution.size(), kK) << ctx;
             ExpectWithinFactor(r.diversity, opt, alpha, ctx + "/sequential");
           }
@@ -146,8 +146,7 @@ TEST_P(ApproxRatioThreads, AllBackendsWithinProvenFactorOfOracle) {
             o.backend = Backend::kStreaming;
             o.k = kK;
             o.k_prime = kKPrime;
-            o.screening = screening;
-            SolveResult r = Solve(layout.pts, *metric, o);
+            SolveResult r = SolveOk(layout.pts, *metric, o);
             ASSERT_EQ(r.solution.size(), kK) << ctx;
             ExpectWithinFactor(r.diversity, opt, 2.0 * alpha,
                                ctx + "/streaming");
@@ -160,8 +159,7 @@ TEST_P(ApproxRatioThreads, AllBackendsWithinProvenFactorOfOracle) {
             o.k = kK;
             o.k_prime = kKPrime;
             o.num_partitions = 2;
-            o.screening = screening;
-            SolveResult r = Solve(layout.pts, *metric, o);
+            SolveResult r = SolveOk(layout.pts, *metric, o);
             ASSERT_EQ(r.solution.size(), kK) << ctx;
             ExpectWithinFactor(r.diversity, opt, 2.0 * alpha,
                                ctx + "/mapreduce");
@@ -214,7 +212,7 @@ TEST(ApproxRatioTest, DegradedRunCertifiedAgainstSurvivingOracle) {
         o.seed = kSeed;
         o.faults = &faults;
         MapReduceDiversity mr(metric.get(), p, o);
-        StatusOr<MrResult> r = mr.TryRun(layout.pts);
+        StatusOr<MrResult> r = mr.TryRun(Dataset::FromPoints(layout.pts));
         std::string ctx = layout.name + "/" + metric->Name() + "/" +
                           ProblemName(p) + "/degraded";
         ASSERT_TRUE(r.ok()) << ctx << ": " << r.status().ToString();
@@ -275,7 +273,7 @@ TEST(ApproxRatioTest, SocketBackendCertifiedAgainstOracle) {
 
       // Fault-free distributed run: within the proven factor.
       MapReduceDiversity mr(metric.get(), p, o);
-      StatusOr<MrResult> clean = mr.TryRun(pts);
+      StatusOr<MrResult> clean = mr.TryRun(Dataset::FromPoints(pts));
       ASSERT_TRUE(clean.ok()) << ctx << ": " << clean.status().ToString();
       ASSERT_FALSE(clean->degraded.has_value()) << ctx;
       double opt_all = ExactDiversityMaximization(p, pts, *metric, kK).value;
@@ -286,7 +284,7 @@ TEST(ApproxRatioTest, SocketBackendCertifiedAgainstOracle) {
       MrOptions fo = o;
       fo.faults = &faults;
       MapReduceDiversity faulty(metric.get(), p, fo);
-      StatusOr<MrResult> r = faulty.TryRun(pts);
+      StatusOr<MrResult> r = faulty.TryRun(Dataset::FromPoints(pts));
       ASSERT_TRUE(r.ok()) << ctx << ": " << r.status().ToString();
       ASSERT_TRUE(r->degraded.has_value()) << ctx;
       const DegradedResult& d = *r->degraded;

@@ -6,8 +6,8 @@
 //     kernel performs;
 //   * batched parallel GMM selects the identical index sequence as the
 //     scalar reference, at any thread count;
-//   * Solve() exercises the Dataset path on the sequential, streaming, and
-//     MapReduce backends with results identical to the PointSet shim;
+//   * TrySolve() on one reused Dataset gives the results of a fresh copy of
+//     the points on the sequential, streaming, and MapReduce backends;
 //   * the single-query sparse cosine gather (scattered query, gathered
 //     rows) is bit-identical to the per-pair index merge.
 
@@ -31,6 +31,7 @@
 #include "core/vector_kernels.h"
 #include "data/sparse_text.h"
 #include "data/synthetic.h"
+#include "solve_helpers.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -271,8 +272,9 @@ TEST(BatchKernelTest, SolveDatasetOverloadMatchesPointSetAcrossBackends) {
       options.problem = problem;
       options.backend = backend;
       options.k = 6;
-      SolveResult from_dataset = Solve(data, metric, options);
-      SolveResult from_points = Solve(pts, metric, options);
+      SolveResult from_dataset =
+          ValueOrEmpty(TrySolve(data, metric, options));
+      SolveResult from_points = SolveOk(pts, metric, options);
       EXPECT_EQ(from_dataset.solution, from_points.solution)
           << BackendName(backend) << "/" << ProblemName(problem);
       EXPECT_EQ(from_dataset.diversity, from_points.diversity);

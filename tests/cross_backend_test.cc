@@ -14,6 +14,7 @@
 #include "core/metric.h"
 #include "data/sparse_text.h"
 #include "data/synthetic.h"
+#include "solve_helpers.h"
 #include "util/rng.h"
 
 namespace diverse {
@@ -38,7 +39,7 @@ TEST_P(PlantedRecoveryTest, EveryBackendRecoversPlantedStructure) {
   opts.k = 6;
   opts.k_prime = 24;
   opts.num_partitions = 4;
-  SolveResult r = Solve(pts, metric, opts);
+  SolveResult r = SolveOk(pts, metric, opts);
   ASSERT_EQ(r.solution.size(), 6u);
 
   // 6 random unit vectors have expected pairwise distance ~sqrt(2); a
@@ -49,7 +50,7 @@ TEST_P(PlantedRecoveryTest, EveryBackendRecoversPlantedStructure) {
   seq.problem = DiversityProblem::kRemoteClique;
   seq.backend = Backend::kSequential;
   seq.k = 6;
-  double reference = Solve(pts, metric, seq).diversity;
+  double reference = SolveOk(pts, metric, seq).diversity;
   EXPECT_GE(r.diversity, 0.75 * reference) << BackendName(backend);
 }
 
@@ -86,7 +87,7 @@ TEST(CrossBackendTest, AllBackendsWithinEnvelopeOfExactOptimum) {
         opts.k = 4;
         opts.k_prime = 8;
         opts.num_partitions = 2;
-        SolveResult r = Solve(pts, metric, opts);
+        SolveResult r = SolveOk(pts, metric, opts);
         // alpha <= 4 for all problems; factor 2 envelope for core-set loss
         // on such tiny inputs.
         EXPECT_GE(r.diversity * SequentialAlpha(p) * 2.0 + 1e-9, opt)
@@ -120,7 +121,7 @@ TEST(CrossBackendTest, StreamingStableUnderPermutations) {
     opts.backend = Backend::kStreaming;
     opts.k = 8;
     opts.k_prime = 32;
-    double div = Solve(shuffled, metric, opts).diversity;
+    double div = SolveOk(shuffled, metric, opts).diversity;
     lo = std::min(lo, div);
     hi = std::max(hi, div);
   }
@@ -147,7 +148,7 @@ TEST(CrossBackendTest, SparseCosineAllBackends) {
     opts.k = 5;
     opts.k_prime = 15;
     opts.num_partitions = 3;
-    SolveResult r = Solve(docs, metric, opts);
+    SolveResult r = SolveOk(docs, metric, opts);
     EXPECT_EQ(r.solution.size(), 5u) << BackendName(b);
     EXPECT_GT(r.diversity, 0.0) << BackendName(b);
   }
@@ -165,7 +166,7 @@ TEST(CrossBackendTest, AlternativeMetricsEndToEnd) {
   opts.k = 5;
   opts.k_prime = 20;
   opts.num_partitions = 4;
-  SolveResult r = Solve(pts, manhattan, opts);
+  SolveResult r = SolveOk(pts, manhattan, opts);
   EXPECT_EQ(r.solution.size(), 5u);
   EXPECT_GT(r.diversity, 0.0);
 
@@ -177,7 +178,7 @@ TEST(CrossBackendTest, AlternativeMetricsEndToEnd) {
   JaccardMetric jaccard;
   opts.problem = DiversityProblem::kRemoteEdge;
   opts.backend = Backend::kStreaming;
-  SolveResult rj = Solve(docs, jaccard, opts);
+  SolveResult rj = SolveOk(docs, jaccard, opts);
   EXPECT_EQ(rj.solution.size(), 5u);
   EXPECT_GT(rj.diversity, 0.0);
 }

@@ -3,6 +3,9 @@
 // many runs; bit-level determinism per seed is what makes those runs
 // re-creatable and regressions bisectable.
 
+#include <thread>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "api/solve.h"
@@ -11,6 +14,7 @@
 #include "data/synthetic.h"
 #include "mapreduce/afz.h"
 #include "mapreduce/mr_diversity.h"
+#include "solve_helpers.h"
 #include "streaming/streaming_diversity.h"
 
 namespace diverse {
@@ -63,11 +67,57 @@ TEST(DeterminismTest, AllBackendsAreSeedPure) {
     opts.k_prime = 15;
     opts.num_partitions = 4;
     opts.seed = 23;
-    SolveResult r1 = Solve(pts, metric, opts);
-    SolveResult r2 = Solve(pts, metric, opts);
+    SolveResult r1 = SolveOk(pts, metric, opts);
+    SolveResult r2 = SolveOk(pts, metric, opts);
     EXPECT_TRUE(SameSolutions(r1.solution, r2.solution)) << BackendName(b);
     EXPECT_DOUBLE_EQ(r1.diversity, r2.diversity) << BackendName(b);
     EXPECT_EQ(r1.coreset_size, r2.coreset_size) << BackendName(b);
+  }
+}
+
+// Concurrent TrySolve calls on one freshly built (never solved on) Dataset:
+// every call reads the shared screening statistics, and each must return
+// the solo result bit for bit. The TSan job runs this suite.
+TEST(DeterminismTest, ConcurrentTrySolveOnSharedDatasetMatchesSolo) {
+  EuclideanMetric euclidean;
+  CosineMetric cosine;
+  SparseTextOptions t;
+  t.n = 400;
+  t.vocab_size = 300;
+  t.seed = 43;
+  struct Case {
+    PointSet points;
+    const Metric* metric;
+  };
+  const Case cases[] = {{GenerateUniformCube(600, 3, /*seed=*/41), &euclidean},
+                        {GenerateSparseTextDataset(t), &cosine}};
+  constexpr int kThreads = 3;
+  for (const Case& c : cases) {
+    for (Backend b :
+         {Backend::kSequential, Backend::kStreaming, Backend::kMapReduce}) {
+      SolveOptions opts;
+      opts.problem = DiversityProblem::kRemoteEdge;
+      opts.backend = b;
+      opts.k = 5;
+      opts.num_partitions = 4;
+      const SolveResult solo = SolveOk(c.points, *c.metric, opts);
+      const Dataset shared = Dataset::FromPoints(c.points);
+      std::vector<SolveResult> results(kThreads);
+      std::vector<std::thread> threads;
+      for (int i = 0; i < kThreads; ++i) {
+        threads.emplace_back([&, i] {
+          StatusOr<SolveResult> r = TrySolve(shared, *c.metric, opts);
+          if (r.ok()) results[i] = std::move(*r);
+        });
+      }
+      for (std::thread& th : threads) th.join();
+      for (const SolveResult& r : results) {
+        EXPECT_TRUE(SameSolutions(r.solution, solo.solution))
+            << c.metric->Name() << "/" << BackendName(b);
+        EXPECT_EQ(r.diversity, solo.diversity)
+            << c.metric->Name() << "/" << BackendName(b);
+      }
+    }
   }
 }
 
@@ -86,7 +136,7 @@ TEST(DeterminismTest, MapReduceParallelismDoesNotChangeResult) {
     o.num_workers = workers[i];
     o.seed = 29;
     MapReduceDiversity mr(&metric, DiversityProblem::kRemoteTree, o);
-    results[i] = mr.Run(pts);
+    results[i] = RunOk(mr, pts);
   }
   EXPECT_TRUE(SameSolutions(results[0].solution, results[1].solution));
   EXPECT_TRUE(SameSolutions(results[1].solution, results[2].solution));
@@ -105,8 +155,8 @@ TEST(DeterminismTest, DifferentSeedsUsuallyDiffer) {
   o2.seed = o.seed + 1;
   MapReduceDiversity mr2(&metric, DiversityProblem::kRemoteEdge, o2);
   // Different random partitions -> (almost surely) different core-sets.
-  MrResult r1 = mr.Run(pts);
-  MrResult r2 = mr2.Run(pts);
+  MrResult r1 = RunOk(mr, pts);
+  MrResult r2 = RunOk(mr2, pts);
   // Values may coincide; the partitions should not produce byte-identical
   // core-set orderings AND identical solutions AND identical sizes all at
   // once more often than rarely. We assert only the weak property that the
@@ -145,7 +195,7 @@ TEST(DeterminismTest, RecoveryIsBitIdenticalUnderFaultSchedule) {
   base.num_workers = 4;
   base.seed = 19;
   MapReduceDiversity clean(&metric, DiversityProblem::kRemoteClique, base);
-  StatusOr<MrResult> want = clean.TryRun(pts);
+  StatusOr<MrResult> want = clean.TryRun(Dataset::FromPoints(pts));
   ASSERT_TRUE(want.ok());
 
   StatusOr<FaultInjector> faults = FaultInjector::Parse(
@@ -156,8 +206,8 @@ TEST(DeterminismTest, RecoveryIsBitIdenticalUnderFaultSchedule) {
   faulty.faults = &*faults;
   faulty.task_timeout_ms = 25;
   MapReduceDiversity mr(&metric, DiversityProblem::kRemoteClique, faulty);
-  StatusOr<MrResult> r1 = mr.TryRun(pts);
-  StatusOr<MrResult> r2 = mr.TryRun(pts);
+  StatusOr<MrResult> r1 = mr.TryRun(Dataset::FromPoints(pts));
+  StatusOr<MrResult> r2 = mr.TryRun(Dataset::FromPoints(pts));
   ASSERT_TRUE(r1.ok());
   ASSERT_TRUE(r2.ok());
   EXPECT_TRUE(SameSolutions(r1->solution, r2->solution));

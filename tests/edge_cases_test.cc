@@ -11,6 +11,7 @@
 #include "core/sequential.h"
 #include "data/sparse_text.h"
 #include "data/synthetic.h"
+#include "solve_helpers.h"
 #include "streaming/sliding_window.h"
 #include "streaming/smm.h"
 
@@ -47,7 +48,7 @@ TEST_P(EdgeCaseBackendTest, AllIdenticalPoints) {
   opts.k = 4;
   opts.k_prime = 8;
   opts.num_partitions = 2;
-  SolveResult r = Solve(pts, metric, opts);
+  SolveResult r = SolveOk(pts, metric, opts);
   EXPECT_EQ(r.solution.size(), 4u);
   EXPECT_DOUBLE_EQ(r.diversity, 0.0);
 }
@@ -61,7 +62,7 @@ TEST_P(EdgeCaseBackendTest, HeavyDuplicates) {
   opts.k = 5;
   opts.k_prime = 10;
   opts.num_partitions = 2;
-  SolveResult r = Solve(pts, metric, opts);
+  SolveResult r = SolveOk(pts, metric, opts);
   EXPECT_EQ(r.solution.size(), 5u);
   EXPECT_GT(r.diversity, 0.0);  // 200 distinct locations exist
 }
@@ -75,7 +76,7 @@ TEST_P(EdgeCaseBackendTest, CollinearPoints) {
   opts.k = 4;
   opts.k_prime = 8;
   opts.num_partitions = 2;
-  SolveResult r = Solve(pts, metric, opts);
+  SolveResult r = SolveOk(pts, metric, opts);
   EXPECT_EQ(r.solution.size(), 4u);
   // Best 4-point MST on [0,199] has weight 199 (the endpoints plus any two
   // inner points chained); any solution must reach at least half of that via
@@ -92,7 +93,7 @@ TEST_P(EdgeCaseBackendTest, KEqualsOne) {
   opts.k = 1;
   opts.k_prime = 4;
   opts.num_partitions = 2;
-  SolveResult r = Solve(pts, metric, opts);
+  SolveResult r = SolveOk(pts, metric, opts);
   EXPECT_EQ(r.solution.size(), 1u);
   EXPECT_DOUBLE_EQ(r.diversity, 0.0);
 }
@@ -171,7 +172,7 @@ TEST(EdgeCaseTest, ZeroVectorsUnderCosine) {
   opts.backend = Backend::kStreaming;
   opts.k = 3;
   opts.k_prime = 6;
-  SolveResult r = Solve(pts, metric, opts);
+  SolveResult r = SolveOk(pts, metric, opts);
   EXPECT_EQ(r.solution.size(), 3u);
 }
 
@@ -200,17 +201,22 @@ Point SparseDoc() {
 
 PointSet AllDuplicateSparse(size_t n) { return PointSet(n, SparseDoc()); }
 
-TEST_P(EdgeCaseBackendTest, EmptyInputYieldsEmptySolution) {
+TEST(EdgeCaseTest, EmptyInputIsRejectedOnEveryBackend) {
   CosineMetric metric;
-  SolveOptions opts;
-  opts.problem = DiversityProblem::kRemoteEdge;
-  opts.backend = GetParam();
-  opts.k = 3;
-  opts.k_prime = 6;
-  opts.num_partitions = 4;
-  SolveResult r = Solve(PointSet{}, metric, opts);
-  EXPECT_TRUE(r.solution.empty());
-  EXPECT_DOUBLE_EQ(r.diversity, 0.0);
+  for (Backend b :
+       {Backend::kSequential, Backend::kStreaming, Backend::kStreamingTwoPass,
+        Backend::kMapReduce, Backend::kMapReduceRandomized,
+        Backend::kMapReduceGeneralized, Backend::kMapReduceRecursive}) {
+    SolveOptions opts;
+    opts.problem = DiversityProblem::kRemoteClique;
+    opts.backend = b;
+    opts.k = 3;
+    opts.k_prime = 6;
+    opts.num_partitions = 4;
+    StatusOr<SolveResult> r = TrySolve(Dataset(), metric, opts);
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument)
+        << BackendName(b);
+  }
 }
 
 TEST_P(EdgeCaseBackendTest, SingletonSparseInput) {
@@ -220,11 +226,11 @@ TEST_P(EdgeCaseBackendTest, SingletonSparseInput) {
   SolveOptions opts;
   opts.problem = DiversityProblem::kRemoteEdge;
   opts.backend = GetParam();
-  opts.k = 3;
+  opts.k = 1;
   opts.k_prime = 6;
   // More reducers than points: three of the four partitions are empty.
   opts.num_partitions = 4;
-  SolveResult r = Solve(pts, metric, opts);
+  SolveResult r = SolveOk(pts, metric, opts);
   EXPECT_EQ(r.solution.size(), 1u);
   EXPECT_DOUBLE_EQ(r.diversity, 0.0);
 }
@@ -238,7 +244,7 @@ TEST_P(EdgeCaseBackendTest, AllDuplicateSparsePoints) {
   opts.k = 4;
   opts.k_prime = 8;
   opts.num_partitions = 3;
-  SolveResult r = Solve(pts, metric, opts);
+  SolveResult r = SolveOk(pts, metric, opts);
   EXPECT_EQ(r.solution.size(), 4u);
   EXPECT_DOUBLE_EQ(r.diversity, 0.0);
 }
@@ -311,7 +317,7 @@ TEST(EdgeCaseTest, MapReduceSinglePartition) {
   opts.k = 4;
   opts.k_prime = 8;
   opts.num_partitions = 1;
-  SolveResult r = Solve(pts, metric, opts);
+  SolveResult r = SolveOk(pts, metric, opts);
   EXPECT_EQ(r.solution.size(), 4u);
   EXPECT_GT(r.diversity, 0.0);
 }

@@ -211,7 +211,7 @@ TEST(FaultInjectionTest, CrashesAndStragglerRecoverBitIdentical) {
   PointSet pts = GenerateUniformCube(800, 3, /*seed=*/21);
   MrOptions clean = FaultyOptions(6, 12, 16);
   MapReduceDiversity baseline(&m, DiversityProblem::kRemoteEdge, clean);
-  StatusOr<MrResult> want = baseline.TryRun(pts);
+  StatusOr<MrResult> want = baseline.TryRun(Dataset::FromPoints(pts));
   ASSERT_TRUE(want.ok()) << want.status().ToString();
 
   StatusOr<FaultInjector> faults = FaultInjector::Parse(
@@ -222,7 +222,7 @@ TEST(FaultInjectionTest, CrashesAndStragglerRecoverBitIdentical) {
   faulty.faults = &*faults;
   faulty.task_timeout_ms = 40;  // well under the 400ms straggler delay
   MapReduceDiversity mr(&m, DiversityProblem::kRemoteEdge, faulty);
-  StatusOr<MrResult> got = mr.TryRun(pts);
+  StatusOr<MrResult> got = mr.TryRun(Dataset::FromPoints(pts));
   ASSERT_TRUE(got.ok()) << got.status().ToString();
 
   EXPECT_TRUE(SameSolutions(got->solution, want->solution));
@@ -242,7 +242,7 @@ TEST(FaultInjectionTest, DataFaultsAreCaughtByValidationAndRetried) {
   PointSet pts = GenerateUniformCube(400, 2, /*seed=*/22);
   MrOptions clean = FaultyOptions(5, 10, 8);
   MapReduceDiversity baseline(&m, DiversityProblem::kRemoteClique, clean);
-  StatusOr<MrResult> want = baseline.TryRun(pts);
+  StatusOr<MrResult> want = baseline.TryRun(Dataset::FromPoints(pts));
   ASSERT_TRUE(want.ok());
 
   // One of each data fault, on distinct round-1 tasks plus the round-2
@@ -255,7 +255,7 @@ TEST(FaultInjectionTest, DataFaultsAreCaughtByValidationAndRetried) {
   MrOptions faulty = clean;
   faulty.faults = &*faults;
   MapReduceDiversity mr(&m, DiversityProblem::kRemoteClique, faulty);
-  StatusOr<MrResult> got = mr.TryRun(pts);
+  StatusOr<MrResult> got = mr.TryRun(Dataset::FromPoints(pts));
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   EXPECT_TRUE(SameSolutions(got->solution, want->solution));
   EXPECT_EQ(got->diversity, want->diversity);
@@ -269,7 +269,7 @@ TEST(FaultInjectionTest, GeneralizedDriverRecoversAcrossAllThreeRounds) {
   PointSet pts = GenerateUniformCube(500, 2, /*seed=*/23);
   MrOptions clean = FaultyOptions(4, 8, 8);
   MapReduceDiversity baseline(&m, DiversityProblem::kRemoteClique, clean);
-  StatusOr<MrResult> want = baseline.TryRunGeneralized(pts);
+  StatusOr<MrResult> want = baseline.TryRunGeneralized(Dataset::FromPoints(pts));
   ASSERT_TRUE(want.ok());
 
   StatusOr<FaultInjector> faults = FaultInjector::Parse(
@@ -279,7 +279,7 @@ TEST(FaultInjectionTest, GeneralizedDriverRecoversAcrossAllThreeRounds) {
   MrOptions faulty = clean;
   faulty.faults = &*faults;
   MapReduceDiversity mr(&m, DiversityProblem::kRemoteClique, faulty);
-  StatusOr<MrResult> got = mr.TryRunGeneralized(pts);
+  StatusOr<MrResult> got = mr.TryRunGeneralized(Dataset::FromPoints(pts));
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   EXPECT_TRUE(SameSolutions(got->solution, want->solution));
   EXPECT_EQ(got->faults_injected, 3u);
@@ -291,7 +291,7 @@ TEST(FaultInjectionTest, RecursiveDriverRecoversPerLevel) {
   PointSet pts = GenerateUniformCube(1200, 2, /*seed=*/24);
   MrOptions clean = FaultyOptions(4, 8, 16);
   MapReduceDiversity baseline(&m, DiversityProblem::kRemoteEdge, clean);
-  StatusOr<MrResult> want = baseline.TryRunRecursive(pts, /*budget=*/64);
+  StatusOr<MrResult> want = baseline.TryRunRecursive(Dataset::FromPoints(pts), /*budget=*/64);
   ASSERT_TRUE(want.ok());
   ASSERT_GT(want->rounds, 2u);  // actually recursed
 
@@ -301,7 +301,7 @@ TEST(FaultInjectionTest, RecursiveDriverRecoversPerLevel) {
   MrOptions faulty = clean;
   faulty.faults = &*faults;
   MapReduceDiversity mr(&m, DiversityProblem::kRemoteEdge, faulty);
-  StatusOr<MrResult> got = mr.TryRunRecursive(pts, /*budget=*/64);
+  StatusOr<MrResult> got = mr.TryRunRecursive(Dataset::FromPoints(pts), /*budget=*/64);
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   EXPECT_TRUE(SameSolutions(got->solution, want->solution));
   EXPECT_EQ(got->faults_injected, 2u);
@@ -323,7 +323,7 @@ TEST(FaultInjectionTest, PermanentPartitionFailureDegrades) {
   MrOptions o = FaultyOptions(5, 10, 8);
   o.faults = &*faults;
   MapReduceDiversity mr(&m, DiversityProblem::kRemoteEdge, o);
-  StatusOr<MrResult> got = mr.TryRun(pts);
+  StatusOr<MrResult> got = mr.TryRun(Dataset::FromPoints(pts));
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   EXPECT_EQ(got->solution.size(), 5u);
   ASSERT_TRUE(got->degraded.has_value());
@@ -336,7 +336,7 @@ TEST(FaultInjectionTest, PermanentPartitionFailureDegrades) {
             2.0 * SequentialAlpha(DiversityProblem::kRemoteEdge));
   // The degraded run equals the fault-free run over the surviving
   // partitions: determinism extends to the degraded path.
-  StatusOr<MrResult> again = mr.TryRun(pts);
+  StatusOr<MrResult> again = mr.TryRun(Dataset::FromPoints(pts));
   ASSERT_TRUE(again.ok());
   EXPECT_TRUE(SameSolutions(got->solution, again->solution));
 }
@@ -350,7 +350,7 @@ TEST(FaultInjectionTest, DegradationDisallowedFailsTheRun) {
   o.faults = &*faults;
   o.allow_degraded = false;
   MapReduceDiversity mr(&m, DiversityProblem::kRemoteEdge, o);
-  StatusOr<MrResult> got = mr.TryRun(pts);
+  StatusOr<MrResult> got = mr.TryRun(Dataset::FromPoints(pts));
   EXPECT_FALSE(got.ok());
   EXPECT_EQ(got.status().code(), StatusCode::kAborted)
       << got.status().ToString();
@@ -368,7 +368,7 @@ TEST(FaultInjectionTest, AllPartitionsLostIsAnError) {
   MrOptions o = FaultyOptions(4, 8, 2);
   o.faults = &faults;
   MapReduceDiversity mr(&m, DiversityProblem::kRemoteEdge, o);
-  StatusOr<MrResult> got = mr.TryRun(pts);
+  StatusOr<MrResult> got = mr.TryRun(Dataset::FromPoints(pts));
   EXPECT_FALSE(got.ok());
 }
 
@@ -382,7 +382,7 @@ TEST(FaultInjectionTest, AggregatorFailureIsFatal) {
   MrOptions o = FaultyOptions(4, 8, 4);
   o.faults = &faults;
   MapReduceDiversity mr(&m, DiversityProblem::kRemoteEdge, o);
-  StatusOr<MrResult> got = mr.TryRun(pts);
+  StatusOr<MrResult> got = mr.TryRun(Dataset::FromPoints(pts));
   EXPECT_FALSE(got.ok());
   EXPECT_EQ(got.status().code(), StatusCode::kDataLoss)
       << got.status().ToString();
@@ -397,7 +397,7 @@ TEST(FaultInjectionTest, RetryBudgetZeroMeansSingleAttempt) {
   o.faults = &faults;
   o.max_retries = 0;
   MapReduceDiversity mr(&m, DiversityProblem::kRemoteEdge, o);
-  StatusOr<MrResult> got = mr.TryRun(pts);
+  StatusOr<MrResult> got = mr.TryRun(Dataset::FromPoints(pts));
   // No retries: the single crash is already permanent -> degraded.
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   ASSERT_TRUE(got->degraded.has_value());
@@ -419,14 +419,14 @@ TEST(FaultInjectionTest, TrySolveSurfacesDegradedCertificate) {
   o.k_prime = 8;
   o.num_partitions = 8;
   o.faults = &*faults;
-  StatusOr<SolveResult> got = TrySolve(pts, m, o);
+  StatusOr<SolveResult> got = TrySolve(Dataset::FromPoints(pts), m, o);
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   ASSERT_TRUE(got->degraded.has_value());
   EXPECT_EQ(got->degraded->failed_partitions, std::vector<size_t>{3});
   EXPECT_GT(got->degraded->approx_factor, 0.0);
 
   o.allow_degraded = false;
-  StatusOr<SolveResult> strict = TrySolve(pts, m, o);
+  StatusOr<SolveResult> strict = TrySolve(Dataset::FromPoints(pts), m, o);
   EXPECT_FALSE(strict.ok());
 }
 

@@ -11,6 +11,7 @@
 #include "data/synthetic.h"
 #include "mapreduce/afz.h"
 #include "mapreduce/mr_diversity.h"
+#include "solve_helpers.h"
 #include "streaming/streaming_diversity.h"
 
 namespace diverse {
@@ -60,7 +61,7 @@ TEST(IntegrationTest, MapReduceTracksSequentialOnSphereData) {
   mr_opts.num_partitions = 8;
   mr_opts.num_workers = 4;
   MapReduceDiversity mr(&m, DiversityProblem::kRemoteEdge, mr_opts);
-  double dist = mr.Run(pts).diversity;
+  double dist = RunOk(mr, pts).diversity;
 
   EXPECT_GE(dist, 0.7 * seq);
 }
@@ -87,7 +88,7 @@ TEST(IntegrationTest, MapReduceBeatsStreamingCoreset) {
   mr_opts.num_partitions = 8;
   mr_opts.num_workers = 4;
   MapReduceDiversity mr(&m, DiversityProblem::kRemoteEdge, mr_opts);
-  double dist = mr.Run(pts).diversity;
+  double dist = RunOk(mr, pts).diversity;
 
   EXPECT_GE(dist, 0.9 * stream);
 }
@@ -120,7 +121,7 @@ TEST(IntegrationTest, CosineTextPipelineEndToEnd) {
   mr_opts.num_partitions = 4;
   mr_opts.num_workers = 4;
   MapReduceDiversity mr(&m, DiversityProblem::kRemoteClique, mr_opts);
-  MrResult mres = mr.Run(docs);
+  MrResult mres = RunOk(mr, docs);
   EXPECT_EQ(mres.solution.size(), k);
   EXPECT_GT(mres.diversity, 0.8 * sr.diversity);
 }
@@ -142,7 +143,7 @@ TEST(IntegrationTest, AllProblemsAllPipelinesOnOneDataset) {
     mr_opts.num_partitions = 4;
     mr_opts.num_workers = 2;
     MapReduceDiversity mr(&m, p, mr_opts);
-    double dist = mr.Run(pts).diversity;
+    double dist = RunOk(mr, pts).diversity;
 
     EXPECT_GT(stream, 0.4 * seq) << ProblemName(p);
     EXPECT_GT(dist, 0.5 * seq) << ProblemName(p);
@@ -186,8 +187,8 @@ TEST(IntegrationTest, ThreeRoundGeneralizedMatchesTwoRoundQuality) {
   mr_opts.num_partitions = 4;
   mr_opts.num_workers = 4;
   MapReduceDiversity mr(&m, DiversityProblem::kRemoteClique, mr_opts);
-  double two = mr.Run(pts).diversity;
-  double three = mr.RunGeneralized(pts).diversity;
+  double two = RunOk(mr, pts).diversity;
+  double three = RunGeneralizedOk(mr, pts).diversity;
   EXPECT_GE(three, 0.7 * two);
 }
 

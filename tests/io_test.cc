@@ -58,8 +58,8 @@ TEST(IoTextTest, FileRoundTripMixed) {
   PointSet pts = MixedPoints();
   std::string path = TempPath("points.txt");
   ASSERT_TRUE(SavePointsText(pts, path));
-  auto loaded = LoadPointsText(path);
-  ASSERT_TRUE(loaded.has_value());
+  auto loaded = TryLoadPointsText(path);
+  ASSERT_TRUE(loaded.ok());
   ASSERT_EQ(loaded->size(), pts.size());
   for (size_t i = 0; i < pts.size(); ++i) {
     EXPECT_TRUE((*loaded)[i] == pts[i]) << "point " << i;
@@ -67,16 +67,16 @@ TEST(IoTextTest, FileRoundTripMixed) {
   std::remove(path.c_str());
 }
 
-TEST(IoTextTest, MissingFileIsNullopt) {
-  EXPECT_FALSE(LoadPointsText("/nonexistent/dir/file.txt").has_value());
+TEST(IoTextTest, MissingFileIsAnError) {
+  EXPECT_FALSE(TryLoadPointsText("/nonexistent/dir/file.txt").ok());
 }
 
 TEST(IoBinaryTest, FileRoundTripMixed) {
   PointSet pts = MixedPoints();
   std::string path = TempPath("points.bin");
   ASSERT_TRUE(SavePointsBinary(pts, path));
-  auto loaded = LoadPointsBinary(path);
-  ASSERT_TRUE(loaded.has_value());
+  auto loaded = TryLoadPointsBinary(path);
+  ASSERT_TRUE(loaded.ok());
   ASSERT_EQ(loaded->size(), pts.size());
   for (size_t i = 0; i < pts.size(); ++i) {
     EXPECT_TRUE((*loaded)[i] == pts[i]) << "point " << i;
@@ -87,8 +87,8 @@ TEST(IoBinaryTest, FileRoundTripMixed) {
 TEST(IoBinaryTest, EmptySetRoundTrips) {
   std::string path = TempPath("empty.bin");
   ASSERT_TRUE(SavePointsBinary({}, path));
-  auto loaded = LoadPointsBinary(path);
-  ASSERT_TRUE(loaded.has_value());
+  auto loaded = TryLoadPointsBinary(path);
+  ASSERT_TRUE(loaded.ok());
   EXPECT_TRUE(loaded->empty());
   std::remove(path.c_str());
 }
@@ -115,7 +115,7 @@ TEST(IoBinaryTest, BadMagicRejected) {
     fwrite(junk, 1, sizeof(junk), f);
     fclose(f);
   }
-  EXPECT_FALSE(LoadPointsBinary(path).has_value());
+  EXPECT_FALSE(TryLoadPointsBinary(path).ok());
   std::remove(path.c_str());
 }
 
@@ -132,7 +132,7 @@ TEST(IoBinaryTest, TruncatedFileRejected) {
     fclose(f);
     ASSERT_EQ(truncate(path.c_str(), size / 2), 0);
   }
-  EXPECT_FALSE(LoadPointsBinary(path).has_value());
+  EXPECT_FALSE(TryLoadPointsBinary(path).ok());
   std::remove(path.c_str());
 }
 
@@ -331,6 +331,29 @@ TEST(IoStatusTest, TryLoadersRoundTripValidFiles) {
   ASSERT_TRUE(ds.ok()) << ds.status().ToString();
   EXPECT_EQ(ds->size(), uniform.size());
   std::remove(upath.c_str());
+}
+
+// A Dataset holds one dimension: the Dataset loaders reject mixed-dimension
+// files with a Status naming the first offending record, where the PointSet
+// loaders accept them.
+TEST(IoStatusTest, DatasetLoadersRejectMixedDimensions) {
+  const PointSet mixed = {Point::Dense({0.0f, 0.0f}),
+                          Point::Dense({1.0f, 1.0f, 1.0f}),
+                          Point::Dense({2.0f, 2.0f})};
+  const std::string txt = TempPath("mixed-dim.txt");
+  const std::string bin = TempPath("mixed-dim.bin");
+  ASSERT_TRUE(SavePointsText(mixed, txt));
+  ASSERT_TRUE(SavePointsBinary(mixed, bin));
+  for (const StatusOr<Dataset>& r :
+       {TryLoadDatasetText(txt), TryLoadDatasetBinary(bin)}) {
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(r.status().message().find("record 1"), std::string::npos)
+        << r.status().message();
+  }
+  EXPECT_TRUE(TryLoadPointsText(txt).ok());
+  EXPECT_TRUE(TryLoadPointsBinary(bin).ok());
+  std::remove(txt.c_str());
+  std::remove(bin.c_str());
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include "mapreduce/executor_clock.h"
 #include "mapreduce/fault_injector.h"
 #include "mapreduce/mr_diversity.h"
+#include "solve_helpers.h"
 #include "util/status.h"
 
 namespace diverse {
@@ -74,7 +75,7 @@ TEST(MapReduceDriverTest, MorePartitionsThanPointsRunsEmptyReducers) {
   o.num_partitions = 8;
   o.num_workers = 4;
   MapReduceDiversity driver(&m, DiversityProblem::kRemoteEdge, o);
-  MrResult r = driver.Run(pts);
+  MrResult r = RunOk(driver, pts);
   EXPECT_EQ(r.solution.size(), 3u);
   EXPECT_GT(r.diversity, 0.0);
 }
@@ -94,7 +95,7 @@ TEST(MapReduceDriverTest, GeneralizedMorePartitionsThanPoints) {
   o.num_partitions = 10;
   o.num_workers = 3;
   MapReduceDiversity driver(&m, DiversityProblem::kRemoteClique, o);
-  MrResult r = driver.RunGeneralized(docs);
+  MrResult r = RunGeneralizedOk(driver, docs);
   EXPECT_EQ(r.solution.size(), 3u);
   EXPECT_GE(r.diversity, 0.0);
 }
@@ -117,7 +118,7 @@ TEST(MapReduceDriverTest, AdversarialPartitionMorePartsThanSparsePoints) {
   o.num_workers = 2;
   o.partition = PartitionStrategy::kAdversarial;
   MapReduceDiversity driver(&m, DiversityProblem::kRemoteEdge, o);
-  MrResult r = driver.Run(docs);
+  MrResult r = RunOk(driver, docs);
   EXPECT_EQ(r.solution.size(), 2u);
 }
 
@@ -344,7 +345,7 @@ TEST(MapReduceDriverTest, InjectedClockDrivesSpeculationEndToEnd) {
   o.num_partitions = 4;
   o.num_workers = 4;
   MapReduceDiversity clean(&m, DiversityProblem::kRemoteEdge, o);
-  StatusOr<MrResult> base = clean.TryRun(pts);
+  StatusOr<MrResult> base = clean.TryRun(Dataset::FromPoints(pts));
   ASSERT_TRUE(base.ok());
 
   FaultInjector faults;
@@ -355,7 +356,7 @@ TEST(MapReduceDriverTest, InjectedClockDrivesSpeculationEndToEnd) {
   slow.clock = &clock;
   slow.task_timeout_ms = 20;
   MapReduceDiversity mr(&m, DiversityProblem::kRemoteEdge, slow);
-  StatusOr<MrResult> got = mr.TryRun(pts);
+  StatusOr<MrResult> got = mr.TryRun(Dataset::FromPoints(pts));
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   EXPECT_GE(got->task_timeouts, 1u);
   EXPECT_EQ(got->faults_injected, 1u);

@@ -45,6 +45,7 @@
 #include "core/sequential.h"
 #include "data/sparse_text.h"
 #include "data/synthetic.h"
+#include "solve_helpers.h"
 #include "streaming/sliding_window.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -277,8 +278,8 @@ TEST_P(MetamorphicThreads, PowerOfTwoScalingScalesObjectivesExactly) {
           o.k = 6;
           o.k_prime = 18;
           o.num_partitions = 3;
-          SolveResult base = Solve(*pts, *mc.metric, o);
-          SolveResult big = Solve(scaled, *mc.metric, o);
+          SolveResult base = SolveOk(*pts, *mc.metric, o);
+          SolveResult big = SolveOk(scaled, *mc.metric, o);
           EXPECT_EQ(big.diversity, mc.objective_factor * base.diversity)
               << mc.metric->Name() << "/" << ProblemName(p) << "/"
               << BackendName(b);
@@ -353,7 +354,7 @@ TEST_P(MetamorphicThreads, DuplicatingAPointNeverImprovesTheObjective) {
             o.k = 4;
             o.k_prime = 8;
             o.num_partitions = 2;
-            SolveResult r = Solve(with_dup, *metric, o);
+            SolveResult r = SolveOk(with_dup, *metric, o);
             EXPECT_LE(r.diversity, cap + 1e-9)
                 << metric->Name() << "/" << ProblemName(p) << "/"
                 << BackendName(b);

@@ -12,6 +12,7 @@
 #include "core/sequential.h"
 #include "data/sparse_text.h"
 #include "data/synthetic.h"
+#include "solve_helpers.h"
 
 namespace diverse {
 namespace {
@@ -32,7 +33,7 @@ TEST(MrDiversityTest, TwoRoundsProduceKPoints) {
   PointSet pts = GenerateUniformCube(500, 2, /*seed=*/1);
   for (DiversityProblem p : kAllProblems) {
     MapReduceDiversity mr(&m, p, BasicOptions(6, 12, 4));
-    MrResult r = mr.Run(pts);
+    MrResult r = RunOk(mr, pts);
     EXPECT_EQ(r.solution.size(), 6u) << ProblemName(p);
     EXPECT_GT(r.diversity, 0.0) << ProblemName(p);
     EXPECT_EQ(r.rounds, 2u) << ProblemName(p);
@@ -47,14 +48,14 @@ TEST(MrDiversityTest, CoresetSizeAccounting) {
     // GMM family: |T| = l * k'.
     MapReduceDiversity mr(&m, DiversityProblem::kRemoteEdge,
                           BasicOptions(k, k_prime, parts));
-    MrResult r = mr.Run(pts);
+    MrResult r = RunOk(mr, pts);
     EXPECT_EQ(r.coreset_size, parts * k_prime);
   }
   {
     // GMM-EXT family: |T| <= l * k' * k.
     MapReduceDiversity mr(&m, DiversityProblem::kRemoteClique,
                           BasicOptions(k, k_prime, parts));
-    MrResult r = mr.Run(pts);
+    MrResult r = RunOk(mr, pts);
     EXPECT_GE(r.coreset_size, parts * k_prime);
     EXPECT_LE(r.coreset_size, parts * k_prime * k);
   }
@@ -65,7 +66,7 @@ TEST(MrDiversityTest, LocalMemoryIsMaxReducerInput) {
   PointSet pts = GenerateUniformCube(800, 2, /*seed=*/3);
   MapReduceDiversity mr(&m, DiversityProblem::kRemoteEdge,
                         BasicOptions(4, 8, 8));
-  MrResult r = mr.Run(pts);
+  MrResult r = RunOk(mr, pts);
   // Round 1 reducers hold n/l = 100 points; round 2 holds l*k' = 64.
   EXPECT_EQ(r.max_local_memory_points, 100u);
 }
@@ -78,8 +79,8 @@ TEST(MrDiversityTest, RandomizedDelegateCapShrinksCoreset) {
   MrOptions rand_opts = base;
   rand_opts.randomized_delegate_cap = true;
   MapReduceDiversity rnd(&m, DiversityProblem::kRemoteClique, rand_opts);
-  MrResult det_r = det.Run(pts);
-  MrResult rnd_r = rnd.Run(pts);
+  MrResult det_r = RunOk(det, pts);
+  MrResult rnd_r = RunOk(rnd, pts);
   // Theorem 7: cap max(log2 n = 11, k/l = 8) = 11 delegates/cluster vs 31.
   EXPECT_LT(rnd_r.coreset_size, det_r.coreset_size);
   EXPECT_EQ(rnd_r.solution.size(), 32u);
@@ -93,7 +94,7 @@ TEST(MrDiversityTest, ApproximationOnTinyInputVsExact) {
       PointSet pts = GenerateUniformCube(16, 2, seed * 23);
       size_t k = 4;
       MapReduceDiversity mr(&m, p, BasicOptions(k, 8, 2));
-      MrResult r = mr.Run(pts);
+      MrResult r = RunOk(mr, pts);
       double opt = ExactDiversityMaximization(p, pts, m, k).value;
       // alpha+eps bound, generous eps to absorb tiny-input effects.
       EXPECT_GE(r.diversity * alpha * 2.0 + 1e-9, opt)
@@ -118,7 +119,7 @@ TEST(MrDiversityTest, CompositionRobustToPartitioning) {
     MrOptions o = BasicOptions(8, 32, 4);
     o.partition = strat;
     MapReduceDiversity mr(&m, DiversityProblem::kRemoteEdge, o);
-    MrResult r = mr.Run(pts);
+    MrResult r = RunOk(mr, pts);
     best = std::max(best, r.diversity);
     worst = std::min(worst, r.diversity);
   }
@@ -133,7 +134,7 @@ TEST(MrDiversityTest, GeneralizedThreeRounds) {
        {DiversityProblem::kRemoteClique, DiversityProblem::kRemoteStar,
         DiversityProblem::kRemoteBipartition, DiversityProblem::kRemoteTree}) {
     MapReduceDiversity mr(&m, p, BasicOptions(5, 10, 4));
-    MrResult r = mr.RunGeneralized(pts);
+    MrResult r = RunGeneralizedOk(mr, pts);
     EXPECT_EQ(r.rounds, 3u) << ProblemName(p);
     EXPECT_EQ(r.solution.size(), 5u) << ProblemName(p);
     // Distinct points.
@@ -151,8 +152,8 @@ TEST(MrDiversityTest, GeneralizedUsesSmallerAggregateCoreset) {
   PointSet pts = GenerateUniformCube(2000, 2, /*seed=*/6);
   MrOptions o = BasicOptions(16, 32, 4);
   MapReduceDiversity mr(&m, DiversityProblem::kRemoteClique, o);
-  MrResult two_round = mr.Run(pts);
-  MrResult three_round = mr.RunGeneralized(pts);
+  MrResult two_round = RunOk(mr, pts);
+  MrResult three_round = RunGeneralizedOk(mr, pts);
   // Generalized: l*k' pairs vs up to l*k'*k points.
   EXPECT_LT(three_round.coreset_size, two_round.coreset_size);
 }
@@ -166,8 +167,8 @@ TEST(MrDiversityTest, GeneralizedQualityComparableToTwoRound) {
   PointSet pts = GenerateSphereDataset(sopts);
   MrOptions o = BasicOptions(6, 24, 4);
   MapReduceDiversity mr(&m, DiversityProblem::kRemoteClique, o);
-  double two = mr.Run(pts).diversity;
-  double three = mr.RunGeneralized(pts).diversity;
+  double two = RunOk(mr, pts).diversity;
+  double three = RunGeneralizedOk(mr, pts).diversity;
   EXPECT_GT(three, 0.5 * two);
 }
 
@@ -178,7 +179,7 @@ TEST(MrDiversityTest, RecursiveMultiRound) {
   MapReduceDiversity mr(&m, DiversityProblem::kRemoteEdge, o);
   // Budget 200 points per reducer: 4000 -> 20 parts * 8 = 160 <= 200, so two
   // coreset levels are NOT needed; force more with a tighter budget.
-  MrResult r = mr.RunRecursive(pts, 200);
+  MrResult r = RunRecursiveOk(mr, pts, 200);
   EXPECT_EQ(r.solution.size(), 4u);
   EXPECT_GE(r.rounds, 2u);
   EXPECT_LE(r.max_local_memory_points, 200u);
@@ -189,7 +190,7 @@ TEST(MrDiversityTest, RecursiveDeepRecursion) {
   PointSet pts = GenerateUniformCube(5000, 2, /*seed=*/8);
   MrOptions o = BasicOptions(2, 4, 4);
   MapReduceDiversity mr(&m, DiversityProblem::kRemoteEdge, o);
-  MrResult r = mr.RunRecursive(pts, 50);
+  MrResult r = RunRecursiveOk(mr, pts, 50);
   EXPECT_EQ(r.solution.size(), 2u);
   EXPECT_GE(r.rounds, 3u);  // 5000 -> ~400 -> ~32 -> solve
   EXPECT_LE(r.max_local_memory_points, 50u);
@@ -202,7 +203,7 @@ TEST(MrDiversityTest, ShuffleVolumeAccounted) {
   size_t k = 4, k_prime = 8, parts = 4;
   MapReduceDiversity mr(&m, DiversityProblem::kRemoteEdge,
                         BasicOptions(k, k_prime, parts));
-  MrResult r = mr.Run(pts);
+  MrResult r = RunOk(mr, pts);
   // Round 1 ships l*k' core-set points; round 2 ships the k-point solution.
   EXPECT_EQ(r.shuffle_points, parts * k_prime + k);
 }
@@ -212,11 +213,11 @@ TEST(MrDiversityTest, RoundTimingAccountedPerRound) {
   PointSet pts = GenerateUniformCube(300, 2, /*seed=*/10);
   MapReduceDiversity mr(&m, DiversityProblem::kRemoteEdge,
                         BasicOptions(4, 8, 4));
-  MrResult two = mr.Run(pts);
+  MrResult two = RunOk(mr, pts);
   EXPECT_EQ(two.round_seconds.size(), two.rounds);
   MapReduceDiversity mrc(&m, DiversityProblem::kRemoteClique,
                          BasicOptions(4, 8, 4));
-  MrResult three = mrc.RunGeneralized(pts);
+  MrResult three = RunGeneralizedOk(mrc, pts);
   EXPECT_EQ(three.round_seconds.size(), three.rounds);
   for (double s : three.round_seconds) EXPECT_GE(s, 0.0);
 }
@@ -226,7 +227,7 @@ TEST(MrDiversityTest, GeneralizedSolutionPointsComeFromInput) {
   PointSet pts = GenerateUniformCube(400, 2, /*seed=*/11);
   MapReduceDiversity mr(&m, DiversityProblem::kRemoteTree,
                         BasicOptions(5, 10, 4));
-  MrResult r = mr.RunGeneralized(pts);
+  MrResult r = RunGeneralizedOk(mr, pts);
   for (const Point& s : r.solution) {
     bool found = false;
     for (const Point& p : pts) {
@@ -299,11 +300,11 @@ class PointSetOnlyEngine final : public CommunicationEngine {
   LoopbackEngine* inner_;
 };
 
-// The drivers run on a Dataset's row views; the PointSet entry points wrap
-// their input once. Both must give the same answer, for every driver, on
-// dense and sparse rows — and so must an engine that only sees gathered
-// PointSets.
-TEST(MrDiversityTest, DatasetInputMatchesPointSetShim) {
+// The drivers run on a Dataset's row views. A Dataset that took ownership of
+// its points and one that copied them must give the same answer, for every
+// driver, on dense and sparse rows — and so must an engine that only sees
+// gathered PointSets.
+TEST(MrDiversityTest, MovedAndCopiedDatasetsAgree) {
   EuclideanMetric euclidean;
   CosineMetric cosine;
   struct Case {
@@ -317,10 +318,11 @@ TEST(MrDiversityTest, DatasetInputMatchesPointSetShim) {
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
     const Dataset data = Dataset::FromPoints(c.points);
+    const Dataset moved{PointSet(c.points)};
     MapReduceDiversity two(c.metric, DiversityProblem::kRemoteClique,
                            BasicOptions(5, 10, 4));
     StatusOr<MrResult> from_data = two.TryRun(data);
-    StatusOr<MrResult> from_points = two.TryRun(c.points);
+    StatusOr<MrResult> from_points = two.TryRun(moved);
     ASSERT_TRUE(from_data.ok()) << from_data.status().ToString();
     ASSERT_TRUE(from_points.ok()) << from_points.status().ToString();
     EXPECT_TRUE(SamePoints(from_data->solution, from_points->solution));
@@ -328,7 +330,7 @@ TEST(MrDiversityTest, DatasetInputMatchesPointSetShim) {
     EXPECT_EQ(from_data->coreset_size, from_points->coreset_size);
 
     StatusOr<MrResult> gen_data = two.TryRunGeneralized(data);
-    StatusOr<MrResult> gen_points = two.TryRunGeneralized(c.points);
+    StatusOr<MrResult> gen_points = two.TryRunGeneralized(moved);
     ASSERT_TRUE(gen_data.ok()) << gen_data.status().ToString();
     ASSERT_TRUE(gen_points.ok()) << gen_points.status().ToString();
     EXPECT_TRUE(SamePoints(gen_data->solution, gen_points->solution));
@@ -338,7 +340,7 @@ TEST(MrDiversityTest, DatasetInputMatchesPointSetShim) {
                            BasicOptions(3, 6, 4));
     StatusOr<MrResult> rec_data = rec.TryRunRecursive(data, /*budget=*/40);
     StatusOr<MrResult> rec_points =
-        rec.TryRunRecursive(c.points, /*budget=*/40);
+        rec.TryRunRecursive(moved, /*budget=*/40);
     ASSERT_TRUE(rec_data.ok()) << rec_data.status().ToString();
     ASSERT_TRUE(rec_points.ok()) << rec_points.status().ToString();
     EXPECT_GT(rec_data->rounds, 2u);  // actually recursed
@@ -390,12 +392,13 @@ TEST(MrDiversityTest, RowViewDriverMatchesPartitionCopyPipeline) {
   }
 }
 
-TEST(MrDiversityDeathTest, RecursiveRejectsBudgetBelowKPrime) {
+TEST(MrDiversityTest, RecursiveRejectsBudgetBelowKPrime) {
   EuclideanMetric m;
-  PointSet pts = GenerateUniformCube(500, 2, /*seed=*/12);
+  const Dataset data = Dataset::FromPoints(GenerateUniformCube(500, 2, 12));
   MapReduceDiversity mr(&m, DiversityProblem::kRemoteEdge,
                         BasicOptions(4, 64, 4));
-  EXPECT_DEATH(mr.RunRecursive(pts, 32), "CHECK failed");
+  StatusOr<MrResult> r = mr.TryRunRecursive(data, 32);
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(MrDiversityDeathTest, GeneralizedRejectsNonInjectiveProblems) {
@@ -403,7 +406,8 @@ TEST(MrDiversityDeathTest, GeneralizedRejectsNonInjectiveProblems) {
   PointSet pts = GenerateUniformCube(100, 2, /*seed=*/9);
   MapReduceDiversity mr(&m, DiversityProblem::kRemoteEdge,
                         BasicOptions(4, 8, 2));
-  EXPECT_DEATH(mr.RunGeneralized(pts), "CHECK failed");
+  EXPECT_DEATH((void)mr.TryRunGeneralized(Dataset::FromPoints(pts)),
+               "CHECK failed");
 }
 
 }  // namespace

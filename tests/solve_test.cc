@@ -7,6 +7,7 @@
 
 #include "core/metric.h"
 #include "data/synthetic.h"
+#include "solve_helpers.h"
 
 namespace diverse {
 namespace {
@@ -42,7 +43,7 @@ TEST_P(SolveBackendTest, ProducesValidSolution) {
   opts.problem = c.problem;
   opts.backend = c.backend;
   opts.k = 6;
-  SolveResult r = Solve(pts, metric, opts);
+  SolveResult r = SolveOk(pts, metric, opts);
   EXPECT_EQ(r.solution.size(), 6u);
   EXPECT_GT(r.diversity, 0.0);
   EXPECT_GE(r.seconds, 0.0);
@@ -85,33 +86,33 @@ TEST(SolveTest, AutoDefaultsApplied) {
   SolveOptions opts;
   opts.backend = Backend::kMapReduce;
   opts.k = 4;  // k_prime, partitions, workers all auto
-  SolveResult r = Solve(pts, metric, opts);
+  SolveResult r = SolveOk(pts, metric, opts);
   EXPECT_EQ(r.solution.size(), 4u);
   // auto k' = 16, auto partitions = 8 -> coreset 8*16.
   EXPECT_EQ(r.coreset_size, 128u);
 }
 
-TEST(SolveTest, SmallInputClampsKAndPartitions) {
+TEST(SolveTest, SmallInputMorePartitionsThanPoints) {
   EuclideanMetric metric;
   PointSet pts = GenerateUniformCube(3, 2, /*seed=*/13);
   SolveOptions opts;
   opts.backend = Backend::kMapReduce;
-  opts.k = 8;
+  opts.k = 3;
   opts.num_partitions = 16;
-  SolveResult r = Solve(pts, metric, opts);
+  SolveResult r = SolveOk(pts, metric, opts);
   EXPECT_EQ(r.solution.size(), 3u);  // whole input
 }
 
 // ---------------------------------------------------------------------------
-// TrySolve: the strictly validated entry point. Solve() keeps its clamping
-// contract (asserted elsewhere); TrySolve must reject what Solve absorbs.
+// TrySolve validates requests: what it cannot solve as asked, it rejects
+// instead of silently adjusting.
 
 TEST(TrySolveTest, RejectsZeroK) {
   EuclideanMetric metric;
   PointSet pts = GenerateUniformCube(50, 2, /*seed=*/31);
   SolveOptions opts;
   opts.k = 0;
-  StatusOr<SolveResult> r = TrySolve(pts, metric, opts);
+  StatusOr<SolveResult> r = TrySolve(Dataset::FromPoints(pts), metric, opts);
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
 }
@@ -121,11 +122,11 @@ TEST(TrySolveTest, RejectsKLargerThanInput) {
   PointSet pts = GenerateUniformCube(10, 2, /*seed=*/32);
   SolveOptions opts;
   opts.k = 11;
-  StatusOr<SolveResult> r = TrySolve(pts, metric, opts);
+  StatusOr<SolveResult> r = TrySolve(Dataset::FromPoints(pts), metric, opts);
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
   // Empty input is the same violation (k > 0 = n), not a special case.
-  StatusOr<SolveResult> empty = TrySolve(PointSet{}, metric, opts);
+  StatusOr<SolveResult> empty = TrySolve(Dataset(), metric, opts);
   EXPECT_FALSE(empty.ok());
 }
 
@@ -135,7 +136,7 @@ TEST(TrySolveTest, RejectsKPrimeBelowK) {
   SolveOptions opts;
   opts.k = 8;
   opts.k_prime = 4;  // nonzero and < k
-  StatusOr<SolveResult> r = TrySolve(pts, metric, opts);
+  StatusOr<SolveResult> r = TrySolve(Dataset::FromPoints(pts), metric, opts);
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
 }
@@ -146,7 +147,7 @@ TEST(TrySolveTest, RejectsNonFiniteCoordinates) {
   pts[7] = Point::Dense({0.5f, std::numeric_limits<float>::quiet_NaN()});
   SolveOptions opts;
   opts.k = 3;
-  StatusOr<SolveResult> r = TrySolve(pts, metric, opts);
+  StatusOr<SolveResult> r = TrySolve(Dataset::FromPoints(pts), metric, opts);
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
   // The error names the offending point.
@@ -163,7 +164,7 @@ TEST(TrySolveTest, RejectsGeneralizedBackendOnNonInjectiveProblem) {
     opts.backend = b;
     opts.problem = DiversityProblem::kRemoteEdge;  // not injective-proxy
     opts.k = 4;
-    StatusOr<SolveResult> r = TrySolve(pts, metric, opts);
+    StatusOr<SolveResult> r = TrySolve(Dataset::FromPoints(pts), metric, opts);
     EXPECT_FALSE(r.ok()) << BackendName(b);
     EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
   }
@@ -178,8 +179,8 @@ TEST(TrySolveTest, ValidInputMatchesSolve) {
     opts.backend = b;
     opts.k = 6;
     opts.seed = 36;
-    SolveResult want = Solve(pts, metric, opts);
-    StatusOr<SolveResult> got = TrySolve(pts, metric, opts);
+    SolveResult want = SolveOk(pts, metric, opts);
+    StatusOr<SolveResult> got = TrySolve(Dataset::FromPoints(pts), metric, opts);
     ASSERT_TRUE(got.ok()) << got.status().ToString();
     ASSERT_EQ(got->solution.size(), want.solution.size());
     for (size_t i = 0; i < want.solution.size(); ++i) {
@@ -190,16 +191,36 @@ TEST(TrySolveTest, ValidInputMatchesSolve) {
   }
 }
 
-// The legacy entry point must keep absorbing what TrySolve rejects — both
-// contracts are load-bearing.
-TEST(TrySolveTest, LegacySolveStillClamps) {
+// k > n and empty input are rejected, not clamped.
+TEST(TrySolveTest, RejectsInsteadOfClamping) {
   EuclideanMetric metric;
   PointSet pts = GenerateUniformCube(5, 2, /*seed=*/37);
   SolveOptions opts;
   opts.k = 50;
-  SolveResult r = Solve(pts, metric, opts);
-  EXPECT_EQ(r.solution.size(), 5u);  // clamped, not rejected
-  EXPECT_TRUE(Solve(PointSet{}, metric, opts).solution.empty());
+  StatusOr<SolveResult> r = TrySolve(Dataset::FromPoints(pts), metric, opts);
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  StatusOr<SolveResult> empty = TrySolve(Dataset(), metric, opts);
+  EXPECT_EQ(empty.status().code(), StatusCode::kInvalidArgument);
+}
+
+// A recursive local memory budget below k' could never compress a level.
+TEST(TrySolveTest, RejectsRecursiveBudgetBelowKPrime) {
+  EuclideanMetric metric;
+  const Dataset data = Dataset::FromPoints(GenerateUniformCube(500, 2, 38));
+  SolveOptions opts;
+  opts.backend = Backend::kMapReduceRecursive;
+  opts.k = 4;
+  opts.local_memory_budget = 15;  // auto k' = 16
+  StatusOr<SolveResult> r = TrySolve(data, metric, opts);
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  opts.k_prime = 32;
+  opts.local_memory_budget = 31;
+  r = TrySolve(data, metric, opts);
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  opts.local_memory_budget = 64;
+  r = TrySolve(data, metric, opts);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->solution.size(), 4u);
 }
 
 TEST(SolveTest, SequentialMatchesDirectCall) {
@@ -208,7 +229,7 @@ TEST(SolveTest, SequentialMatchesDirectCall) {
   SolveOptions opts;
   opts.problem = DiversityProblem::kRemoteEdge;
   opts.k = 5;
-  SolveResult r = Solve(pts, metric, opts);
+  SolveResult r = SolveOk(pts, metric, opts);
   EXPECT_EQ(r.rounds_or_passes, 0u);
   EXPECT_EQ(r.coreset_size, 0u);
   EXPECT_EQ(r.solution.size(), 5u);
