@@ -25,6 +25,9 @@
 #include <thread>
 #include <vector>
 
+#include "comm/comm.h"
+#include "comm/frame.h"
+#include "comm/serialize.h"
 #include "core/coreset.h"
 #include "core/cover_tree.h"
 #include "core/dataset.h"
@@ -41,6 +44,7 @@
 #include "data/synthetic.h"
 #include "mapreduce/mr_diversity.h"
 #include "streaming/smm.h"
+#include "util/rng.h"
 #include "util/thread_pool.h"
 
 namespace diverse {
@@ -1164,6 +1168,76 @@ void BM_MrFaultRecovery(benchmark::State& state) {
   state.SetLabel(faulty ? "euclidean/faulty" : "euclidean/fault-free");
 }
 BENCHMARK(BM_MrFaultRecovery)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
+// One socket-engine partition ship on the driver and worker CPUs, without
+// the socket: encode the kCoreset request of a 62.5k x 16 row block (one of
+// the 8 partitions of a 500k-row corpus, rows in shuffled order), frame it
+// (CRC-32), then check the frame and decode the request as a worker does.
+//   Arg(0): gather the rows into a PointSet, then encode it (the path of
+//           the default CommunicationEngine::CoresetOfRows).
+//   Arg(1): encode the rows straight from the Dataset (SocketEngine).
+// Setup verifies the two payloads are byte-equal; SkipWithError drops the
+// entry from BENCH_micro.json otherwise.
+void BM_ShipPartition(benchmark::State& state) {
+  constexpr size_t kRows = 62500;
+  constexpr size_t kDim = 16;
+  const bool from_rows = state.range(0) != 0;
+  SphereDatasetOptions o;
+  o.n = kRows;
+  o.k = 16;
+  o.dim = kDim;
+  o.seed = 29;
+  const Dataset data(GenerateSphereDataset(o));
+  std::vector<uint32_t> rows(kRows);
+  for (size_t i = 0; i < kRows; ++i) rows[i] = static_cast<uint32_t>(i);
+  Rng rng(31);
+  for (size_t i = kRows - 1; i > 0; --i) {
+    std::swap(rows[i], rows[rng.NextBounded(i + 1)]);
+  }
+  const PartitionRef part{data, rows};
+  WireRequest req;
+  req.type = WireTaskType::kCoreset;
+  req.metric = "euclidean";
+  req.round = "coreset";
+  req.k_prime = 128;
+  auto encode = [&] {
+    if (from_rows) return EncodeWireRequest(req, WirePoints(data, rows));
+    const PointSet gathered = part.Gather();
+    return EncodeWireRequest(req, &gathered);
+  };
+  const PointSet gathered = part.Gather();
+  if (EncodeWireRequest(req, WirePoints(data, rows)) !=
+      EncodeWireRequest(req, &gathered)) {
+    state.SkipWithError("row-view request differs from the gathered encode");
+    return;
+  }
+  size_t bytes = 0;
+  for (auto _ : state) {
+    const std::string payload = encode();
+    std::string wire;
+    AppendFrame(FrameType::kRequest, payload, &wire);
+    Frame frame;
+    size_t consumed = 0;
+    if (!TryDecodeFrame(wire, &frame, &consumed).ok() || consumed == 0) {
+      state.SkipWithError("frame did not decode");
+      return;
+    }
+    StatusOr<WireRequest> decoded = TryDecodeWireRequest(frame.payload);
+    if (!decoded.ok() || decoded->points.size() != kRows) {
+      state.SkipWithError("request did not decode");
+      return;
+    }
+    benchmark::DoNotOptimize(decoded->points.data());
+    bytes = payload.size();
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(bytes));
+  state.counters["n"] = kRows;
+  state.counters["dim"] = kDim;
+  state.counters["threads"] = 1;
+  state.SetLabel(from_rows ? "euclidean/rows" : "euclidean/gather");
+}
+BENCHMARK(BM_ShipPartition)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace diverse

@@ -172,7 +172,8 @@ class CommunicationEngine {
   /// copies of concurrent reducers run in parallel) and forward to the
   /// PointSet virtuals — a transport that ships points sends byte-identical
   /// requests either way. An engine that can lay the rows out directly
-  /// overrides these.
+  /// overrides these: LoopbackEngine gathers into its columnar scratch,
+  /// SocketEngine encodes the wire records from the row views.
   virtual StatusOr<PointSet> CoresetOfRows(const TaskEnvelope& env,
                                            const PartitionRef& part,
                                            const CoresetSpec& spec);

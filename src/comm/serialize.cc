@@ -80,53 +80,91 @@ uint64_t MixBytes(uint64_t h, const void* data, size_t bytes) {
   return h;
 }
 
-// Exact size of AppendPointSet(points): the u64 count plus every record.
-size_t PointSetPayloadBytes(const PointSet& points) {
+// Exact size of the point-set payload of `count` points whose views
+// `view_at(i)` returns: the u64 count plus every record.
+template <typename ViewAt>
+size_t PointsPayloadBytes(size_t count, ViewAt view_at) {
   size_t bytes = sizeof(uint64_t);
-  for (const Point& p : points) {
+  for (size_t i = 0; i < count; ++i) {
+    const kernels::VecView v = view_at(i);
     const size_t per_coord =
-        p.is_sparse() ? sizeof(uint32_t) + sizeof(float) : sizeof(float);
-    bytes += kMinPointRecordBytes + p.nnz() * per_coord;
+        v.is_sparse() ? sizeof(uint32_t) + sizeof(float) : sizeof(float);
+    bytes += kMinPointRecordBytes + v.nnz * per_coord;
   }
   return bytes;
 }
 
-// The FingerprintPoints hash over `count` points produced by `point_at(i)`:
-// the one definition both the PointSet and the row-view stamps share, so
+// The point-set payload itself: u64 count, then one record per view.
+template <typename ViewAt>
+void AppendPoints(size_t count, ViewAt view_at, std::string* out) {
+  AppendScalar<uint64_t>(count, out);
+  for (size_t i = 0; i < count; ++i) AppendRowRecord(view_at(i), out);
+}
+
+// The FingerprintPoints hash over `count` points whose views `view_at(i)`
+// returns: the one definition the PointSet and row-view stamps share, so
 // they agree by construction.
-template <typename PointAt>
-uint64_t FingerprintSequence(size_t count, PointAt point_at) {
+template <typename ViewAt>
+uint64_t FingerprintSequence(size_t count, ViewAt view_at) {
   uint64_t h = MixWord(0xD1BE45E5EED5EEDULL, count);
   for (size_t i = 0; i < count; ++i) {
-    const Point& p = point_at(i);
-    const uint64_t header = (uint64_t{p.is_sparse() ? 1u : 0u} << 48) ^
-                            (uint64_t{static_cast<uint32_t>(p.dim())} << 16) ^
-                            uint64_t{static_cast<uint32_t>(p.nnz())};
+    const kernels::VecView v = view_at(i);
+    const uint64_t header = (uint64_t{v.is_sparse() ? 1u : 0u} << 48) ^
+                            (uint64_t{static_cast<uint32_t>(v.dim)} << 16) ^
+                            uint64_t{static_cast<uint32_t>(v.nnz)};
     h = MixWord(h, header);
-    if (p.is_sparse()) {
-      const std::vector<uint32_t>& idx = p.sparse_indices();
-      const std::vector<float>& val = p.sparse_values();
-      h = MixBytes(h, idx.data(), idx.size() * sizeof(uint32_t));
-      h = MixBytes(h, val.data(), val.size() * sizeof(float));
-    } else {
-      const std::vector<float>& val = p.dense_values();
-      h = MixBytes(h, val.data(), val.size() * sizeof(float));
+    if (v.is_sparse()) {
+      h = MixBytes(h, v.indices, v.nnz * sizeof(uint32_t));
     }
+    h = MixBytes(h, v.values, v.nnz * sizeof(float));
   }
   // 0 is the "untagged" sentinel in WireRequest; remap the (2^-64) hit.
   return h == 0 ? 0x9E3779B97F4A7C15ULL : h;
 }
 
+auto PointViews(const PointSet& points) {
+  return [&points](size_t i) { return points[i].View(); };
+}
+
+auto RowViews(const Dataset& data, std::span<const uint32_t> rows) {
+  return [&data, rows](size_t i) { return data.row(rows[i]); };
+}
+
+size_t PointSetPayloadBytes(const PointSet& points) {
+  return PointsPayloadBytes(points.size(), PointViews(points));
+}
+
 }  // namespace
 
 uint64_t FingerprintPoints(const PointSet& points) {
-  return FingerprintSequence(
-      points.size(), [&points](size_t i) -> const Point& { return points[i]; });
+  return FingerprintSequence(points.size(), PointViews(points));
 }
 
 uint64_t FingerprintRows(const Dataset& data, std::span<const uint32_t> rows) {
-  return FingerprintSequence(rows.size(), [&](size_t i) -> const Point& {
-    return data.point(rows[i]);
+  return FingerprintSequence(rows.size(), RowViews(data, rows));
+}
+
+template <typename Fn>
+auto WirePoints::Visit(Fn fn) const {
+  if (data_ != nullptr) return fn(rows_.size(), RowViews(*data_, rows_));
+  return fn(points_->size(), PointViews(*points_));
+}
+
+uint64_t WirePoints::Fingerprint() const {
+  return Visit([](size_t count, auto view_at) {
+    return FingerprintSequence(count, view_at);
+  });
+}
+
+size_t WirePoints::PayloadBytes() const {
+  return Visit([](size_t count, auto view_at) {
+    return PointsPayloadBytes(count, view_at);
+  });
+}
+
+void WirePoints::AppendTo(std::string* out) const {
+  Visit([out](size_t count, auto view_at) {
+    AppendPoints(count, view_at, out);
   });
 }
 
@@ -144,8 +182,7 @@ size_t ApproxPointSetBytes(const PointSet& points) {
 }
 
 void AppendPointSet(const PointSet& points, std::string* out) {
-  AppendScalar<uint64_t>(points.size(), out);
-  for (const Point& p : points) AppendPointRecord(p, out);
+  AppendPoints(points.size(), PointViews(points), out);
 }
 
 StatusOr<PointSet> TryReadPointSet(ByteReader* in, const std::string& what) {
@@ -162,8 +199,7 @@ StatusOr<PointSet> TryReadPointSet(ByteReader* in, const std::string& what) {
   PointSet points;
   points.reserve(count);
   for (uint64_t i = 0; i < count; ++i) {
-    StatusOr<Point> p = TryReadPointRecord(
-        in, "point " + std::to_string(i) + " of " + what);
+    StatusOr<Point> p = TryReadPointRecord(in, RecordName{"point", i, what});
     if (!p.ok()) return p.status();
     points.push_back(std::move(*p));
   }
@@ -192,13 +228,13 @@ StatusOr<GeneralizedCoreset> TryReadGenCoreset(ByteReader* in,
   }
   GeneralizedCoreset gen;
   for (uint64_t i = 0; i < count; ++i) {
-    const std::string where = "entry " + std::to_string(i) + " of " + what;
+    const RecordName where{"entry", i, what};
     uint64_t multiplicity = 0;
     if (!ReadScalar(in, &multiplicity)) {
-      return DataLossError("truncated multiplicity at " + where);
+      return DataLossError("truncated multiplicity at " + where.ToString());
     }
     if (multiplicity == 0) {
-      return InvalidArgumentError("zero multiplicity at " + where);
+      return InvalidArgumentError("zero multiplicity at " + where.ToString());
     }
     StatusOr<Point> p = TryReadPointRecord(in, where);
     if (!p.ok()) return p.status();
@@ -208,16 +244,14 @@ StatusOr<GeneralizedCoreset> TryReadGenCoreset(ByteReader* in,
 }
 
 std::string EncodeWireRequest(const WireRequest& request,
-                              const PointSet* points_override) {
-  const PointSet& points =
-      points_override != nullptr ? *points_override : request.points;
+                              const WirePoints& points) {
   // Reserve the point sections up front (the envelope and a generalized
   // core-set are small). Growing a multi-megabyte partition buffer by
   // doubling leaves the discarded blocks in the encoding thread's malloc
   // arena, and the driver's resident set keeps them.
   std::string out;
   out.reserve(256 + request.metric.size() + request.round.size() +
-              (request.points_by_ref ? 0 : PointSetPayloadBytes(points)) +
+              (request.points_by_ref ? 0 : points.PayloadBytes()) +
               PointSetPayloadBytes(request.points2));
   AppendScalar<uint8_t>(static_cast<uint8_t>(request.type), &out);
   AppendString(request.metric, &out);
@@ -237,10 +271,17 @@ std::string EncodeWireRequest(const WireRequest& request,
   if (request.cache_insert) flags |= kFlagCacheInsert;
   AppendScalar<uint8_t>(flags, &out);
   AppendScalar<uint64_t>(request.evict_fingerprint, &out);
-  if (!request.points_by_ref) AppendPointSet(points, &out);
+  if (!request.points_by_ref) points.AppendTo(&out);
   AppendPointSet(request.points2, &out);
   AppendGenCoreset(request.gen, &out);
   return out;
+}
+
+std::string EncodeWireRequest(const WireRequest& request,
+                              const PointSet* points_override) {
+  return EncodeWireRequest(
+      request, WirePoints(points_override != nullptr ? *points_override
+                                                     : request.points));
 }
 
 Status StreamingRequestDecoder::Advance(bool final) {
@@ -356,8 +397,8 @@ Status StreamingRequestDecoder::Advance(bool final) {
               " payload bytes remain");
         }
         ByteReader in(rest);
-        StatusOr<Point> p = TryReadPointRecord(
-            &in, "point " + std::to_string(got_) + " of " + what);
+        StatusOr<Point> p =
+            TryReadPointRecord(&in, RecordName{"point", got_, what});
         if (!p.ok()) {
           // Mid-stream a short record is indistinguishable from one whose
           // tail is still in flight; only the final pass may condemn it.
@@ -399,18 +440,21 @@ Status StreamingRequestDecoder::Advance(bool final) {
               " entries but only " + std::to_string(rest.size()) +
               " payload bytes remain");
         }
-        const std::string where =
-            "entry " + std::to_string(got_) + " of " + what;
+        const RecordName where{"entry", got_, what};
         ByteReader in(rest);
         uint64_t multiplicity = 0;
         if (!ReadScalar(&in, &multiplicity)) {
-          if (final) return DataLossError("truncated multiplicity at " + where);
+          if (final) {
+            return DataLossError("truncated multiplicity at " +
+                                 where.ToString());
+          }
           return OkStatus();
         }
         if (multiplicity == 0) {
           // The 8 bytes are present: this is corruption, certain even
           // mid-stream.
-          return InvalidArgumentError("zero multiplicity at " + where);
+          return InvalidArgumentError("zero multiplicity at " +
+                                      where.ToString());
         }
         StatusOr<Point> p = TryReadPointRecord(&in, where);
         if (!p.ok()) {

@@ -120,7 +120,7 @@ DIVERSE_MUST_USE StatusOr<GeneralizedCoreset> TryReadGenCoreset(
     ByteReader* in, const std::string& what);
 
 /// 64-bit content stamp of a point set: a word-mixed hash over the same
-/// logical bytes AppendPointRecord serializes (tag, dim, nnz, raw
+/// logical bytes AppendRowRecord serializes (tag, dim, nnz, raw
 /// index/value bit patterns), plus the count. Pure content — independent
 /// of object identity, allocation, or transport — so the driver computes
 /// it without serializing and the worker verifies it on the decoded
@@ -129,10 +129,48 @@ DIVERSE_MUST_USE StatusOr<GeneralizedCoreset> TryReadGenCoreset(
 uint64_t FingerprintPoints(const PointSet& points);
 
 /// FingerprintPoints of rows `rows` of `data` (in that order), read from
-/// the dataset's retained points without gathering a copy: equal to
+/// the dataset's columnar row views without gathering a copy: equal to
 /// FingerprintPoints of the gathered partition, which is what the worker
-/// verifies the shipped points against. `data` must retain its points.
+/// verifies the shipped points against.
 uint64_t FingerprintRows(const Dataset& data, std::span<const uint32_t> rows);
+
+/// The `points` section of a request supplied from outside the WireRequest:
+/// a partition the caller ships without copying it in. It is either a
+/// PointSet, or rows `rows` of `data` (in that order) written straight from
+/// the dataset's columnar arrays. For the same points both forms give the
+/// same bytes and the same fingerprint, so the worker, its partition cache
+/// and the fingerprint check cannot tell them apart. Non-owning: what it
+/// refers to must outlive it.
+class WirePoints {
+ public:
+  explicit WirePoints(const PointSet& points) : points_(&points) {}
+  WirePoints(const Dataset& data, std::span<const uint32_t> rows)
+      : data_(&data), rows_(rows) {}
+
+  size_t size() const {
+    return data_ != nullptr ? rows_.size() : points_->size();
+  }
+  bool empty() const { return size() == 0; }
+
+  /// FingerprintPoints of the section's points.
+  uint64_t Fingerprint() const;
+
+  /// Exact size of what AppendTo() writes.
+  size_t PayloadBytes() const;
+
+  /// Appends the section: the bytes AppendPointSet writes for its points.
+  void AppendTo(std::string* out) const;
+
+ private:
+  // Calls fn(count, view_at), where view_at(i) is the kernel view of the
+  // section's i-th point.
+  template <typename Fn>
+  auto Visit(Fn fn) const;
+
+  const PointSet* points_ = nullptr;
+  const Dataset* data_ = nullptr;
+  std::span<const uint32_t> rows_;
+};
 
 /// Approximate resident bytes of a point set (records + vector headers):
 /// the unit of the worker cache budget and the driver's oversize guard.
@@ -142,10 +180,13 @@ size_t ApproxPointSetBytes(const PointSet& points);
 /// (unknown task type, unknown metric name is left to the worker, counts
 /// the payload cannot hold, truncation) with kInvalidArgument / kDataLoss.
 ///
-/// `points_override`, when non-null, is serialized as the request's
-/// `points` section in place of request.points — the driver ships a
-/// partition it does not own without copying it into the WireRequest
-/// first. Ignored when request.points_by_ref (no points section at all).
+/// `points` is serialized as the request's `points` section in place of
+/// request.points (ignored when request.points_by_ref: no points section at
+/// all). This is the one request encoder.
+std::string EncodeWireRequest(const WireRequest& request,
+                              const WirePoints& points);
+/// EncodeWireRequest with `*points_override` as the points section, or
+/// request.points when it is null.
 std::string EncodeWireRequest(const WireRequest& request,
                               const PointSet* points_override = nullptr);
 DIVERSE_MUST_USE StatusOr<WireRequest> TryDecodeWireRequest(

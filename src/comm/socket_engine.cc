@@ -389,7 +389,7 @@ WireRequest SocketEngine::MakeRequest(WireTaskType type,
 
 StatusOr<WireReply> SocketEngine::Call(const TaskEnvelope& env,
                                        WireRequest* req,
-                                       const PointSet* points,
+                                       const WirePoints* points,
                                        bool cacheable) {
   Worker* w = AcquireWorker();
   if (w == nullptr) return UnavailableError("socket engine is shut down");
@@ -410,7 +410,7 @@ StatusOr<WireReply> SocketEngine::Call(const TaskEnvelope& env,
     const auto fp_start = std::chrono::steady_clock::now();
     // The MapReduce drivers stamp the envelope once per round; a bare
     // engine call (tests, benches) pays the fingerprint itself.
-    key = env.cache_key != 0 ? env.cache_key : FingerprintPoints(*points);
+    key = env.cache_key != 0 ? env.cache_key : points->Fingerprint();
     tally.ship_seconds += SecondsSince(fp_start);
     if (env.fault == FaultKind::kCacheEvict) {
       // Inflict the eviction for real: the worker drops the entry before
@@ -467,7 +467,9 @@ StatusOr<WireReply> SocketEngine::Call(const TaskEnvelope& env,
     req->cache_insert = caching;
     req->points_fingerprint = caching ? key : 0;
     const auto enc_start = std::chrono::steady_clock::now();
-    const std::string payload = EncodeWireRequest(*req, points);
+    const std::string payload = points != nullptr
+                                    ? EncodeWireRequest(*req, *points)
+                                    : EncodeWireRequest(*req);
     tally.ship_seconds += SecondsSince(enc_start);
     exchanged = Exchange(w, env, payload, &reply, &tally);
     if (exchanged.ok() && caching && reply.status.ok()) {
@@ -546,9 +548,9 @@ void SocketEngine::HeartbeatLoop() {
   }
 }
 
-StatusOr<PointSet> SocketEngine::Coreset(const TaskEnvelope& env,
-                                         const PointSet& part,
-                                         const CoresetSpec& spec) {
+StatusOr<PointSet> SocketEngine::CoresetCall(const TaskEnvelope& env,
+                                             const WirePoints& part,
+                                             const CoresetSpec& spec) {
   WireRequest req = MakeRequest(WireTaskType::kCoreset, env);
   req.k_prime = spec.k_prime;
   req.delegates = spec.delegates;
@@ -559,9 +561,9 @@ StatusOr<PointSet> SocketEngine::Coreset(const TaskEnvelope& env,
   return std::move(reply->points);
 }
 
-StatusOr<GenCoresetResult> SocketEngine::GenCoreset(const TaskEnvelope& env,
-                                                    const PointSet& part,
-                                                    size_t k, size_t k_prime) {
+StatusOr<GenCoresetResult> SocketEngine::GenCoresetCall(
+    const TaskEnvelope& env, const WirePoints& part, size_t k,
+    size_t k_prime) {
   WireRequest req = MakeRequest(WireTaskType::kGenCoreset, env);
   req.k = k;
   req.k_prime = k_prime;
@@ -574,12 +576,37 @@ StatusOr<GenCoresetResult> SocketEngine::GenCoreset(const TaskEnvelope& env,
   return result;
 }
 
+StatusOr<PointSet> SocketEngine::Coreset(const TaskEnvelope& env,
+                                         const PointSet& part,
+                                         const CoresetSpec& spec) {
+  return CoresetCall(env, WirePoints(part), spec);
+}
+
+StatusOr<PointSet> SocketEngine::CoresetOfRows(const TaskEnvelope& env,
+                                               const PartitionRef& part,
+                                               const CoresetSpec& spec) {
+  return CoresetCall(env, WirePoints(part.data, part.rows), spec);
+}
+
+StatusOr<GenCoresetResult> SocketEngine::GenCoreset(const TaskEnvelope& env,
+                                                    const PointSet& part,
+                                                    size_t k, size_t k_prime) {
+  return GenCoresetCall(env, WirePoints(part), k, k_prime);
+}
+
+StatusOr<GenCoresetResult> SocketEngine::GenCoresetOfRows(
+    const TaskEnvelope& env, const PartitionRef& part, size_t k,
+    size_t k_prime) {
+  return GenCoresetCall(env, WirePoints(part.data, part.rows), k, k_prime);
+}
+
 StatusOr<PointSet> SocketEngine::MergeCoresets(const TaskEnvelope& env,
                                                const PointSet& a,
                                                const PointSet& b) {
   WireRequest req = MakeRequest(WireTaskType::kMergeCoresets, env);
   req.points2 = b;
-  StatusOr<WireReply> reply = Call(env, &req, &a, /*cacheable=*/false);
+  const WirePoints first(a);
+  StatusOr<WireReply> reply = Call(env, &req, &first, /*cacheable=*/false);
   if (!reply.ok()) return reply.status();
   if (!reply->status.ok()) return reply->status;
   return std::move(reply->points);
@@ -589,7 +616,8 @@ StatusOr<PointSet> SocketEngine::Solve(const TaskEnvelope& env,
                                        const PointSet& aggregate, size_t k) {
   WireRequest req = MakeRequest(WireTaskType::kSolve, env);
   req.k = k;
-  StatusOr<WireReply> reply = Call(env, &req, &aggregate, /*cacheable=*/false);
+  const WirePoints points(aggregate);
+  StatusOr<WireReply> reply = Call(env, &req, &points, /*cacheable=*/false);
   if (!reply.ok()) return reply.status();
   if (!reply->status.ok()) return reply->status;
   return std::move(reply->points);
@@ -613,7 +641,8 @@ StatusOr<PointSet> SocketEngine::Instantiate(const TaskEnvelope& env,
   WireRequest req = MakeRequest(WireTaskType::kInstantiate, env);
   req.gen = selected;
   req.range = range;
-  StatusOr<WireReply> reply = Call(env, &req, &part, /*cacheable=*/true);
+  const WirePoints points(part);
+  StatusOr<WireReply> reply = Call(env, &req, &points, /*cacheable=*/true);
   if (!reply.ok()) return reply.status();
   if (!reply->status.ok()) return reply->status;
   return std::move(reply->points);

@@ -120,8 +120,9 @@ class SocketEngine final : public CommunicationEngine {
     return options_.worker_cache_bytes > 0;
   }
 
-  // Row-view partitions take the base class's in-task gather, so they ship
-  // byte-identical requests to the PointSet calls.
+  // Row-view partitions (CoresetOfRows / GenCoresetOfRows) are encoded
+  // straight from the driver's columnar Dataset, with no PointSet gather;
+  // they ship byte-identical requests to the PointSet calls.
   using CommunicationEngine::Coreset;
   using CommunicationEngine::GenCoreset;
   StatusOr<PointSet> Coreset(const TaskEnvelope& env, const PointSet& part,
@@ -149,6 +150,15 @@ class SocketEngine final : public CommunicationEngine {
   /// PID of the worker at `slot` (tests SIGKILL it externally to exercise
   /// unscripted crash recovery); -1 when the slot is dead.
   pid_t WorkerPidForTest(size_t slot) const;
+
+ protected:
+  StatusOr<PointSet> CoresetOfRows(const TaskEnvelope& env,
+                                   const PartitionRef& part,
+                                   const CoresetSpec& spec) override;
+  StatusOr<GenCoresetResult> GenCoresetOfRows(const TaskEnvelope& env,
+                                              const PartitionRef& part,
+                                              size_t k,
+                                              size_t k_prime) override;
 
  private:
   struct Worker {
@@ -184,7 +194,15 @@ class SocketEngine final : public CommunicationEngine {
   // small req.points — possibly empty — ships inline); `cacheable` opts
   // the partition into worker-side caching.
   StatusOr<WireReply> Call(const TaskEnvelope& env, WireRequest* req,
-                           const PointSet* points, bool cacheable);
+                           const WirePoints* points, bool cacheable);
+
+  // The kCoreset / kGenCoreset RPCs on a partition given either way.
+  StatusOr<PointSet> CoresetCall(const TaskEnvelope& env,
+                                 const WirePoints& part,
+                                 const CoresetSpec& spec);
+  StatusOr<GenCoresetResult> GenCoresetCall(const TaskEnvelope& env,
+                                            const WirePoints& part, size_t k,
+                                            size_t k_prime);
 
   // One send/receive exchange on a checked-out worker: frames and writes
   // `payload` (chunking large payloads), then awaits the reply. On failure

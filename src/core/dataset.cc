@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <string>
 #include <utility>
 
 #include "util/check.h"
@@ -35,6 +36,20 @@ Dataset Dataset::FromPoints(std::span<const Point> points) {
   Dataset d;
   d.Assign(points);
   return d;
+}
+
+StatusOr<Dataset> Dataset::TryFromPoints(PointSet points,
+                                         std::string_view row_kind) {
+  for (size_t i = 1; i < points.size(); ++i) {
+    if (points[i].dim() != points[0].dim()) {
+      const std::string kind(row_kind);
+      return InvalidArgumentError(
+          kind + " " + std::to_string(i) + " has dim " +
+          std::to_string(points[i].dim()) + ", but " + kind +
+          " 0 has dim " + std::to_string(points[0].dim()));
+    }
+  }
+  return Dataset(std::move(points));
 }
 
 void Dataset::Append(const Point& p) {

@@ -31,10 +31,12 @@
 #include <cstdint>
 #include <limits>
 #include <span>
+#include <string_view>
 #include <vector>
 
 #include "core/point.h"
 #include "core/vector_kernels.h"
+#include "util/status.h"
 
 namespace diverse {
 
@@ -50,6 +52,13 @@ class Dataset {
 
   /// Builds from a span by copying the points.
   static Dataset FromPoints(std::span<const Point> points);
+
+  /// The fallible form of Dataset(points): kInvalidArgument naming the
+  /// first row whose dimension differs from row 0's ("row 2 has dim 3, but
+  /// row 0 has dim 2"; `row_kind` replaces the word "row"), where the
+  /// constructor CHECK-fails. Otherwise takes ownership of `points`.
+  DIVERSE_MUST_USE static StatusOr<Dataset> TryFromPoints(
+      PointSet points, std::string_view row_kind = "row");
 
   /// Number of rows.
   size_t size() const { return rows_.size(); }

@@ -132,22 +132,31 @@ StatusOr<PointSet> TryLoadPointsText(const std::string& path) {
   return TryParsePointsText(*bytes, path);
 }
 
-void AppendPointRecord(const Point& point, std::string* out) {
-  const uint8_t tag = point.is_sparse() ? kSparseTag : kDenseTag;
-  const uint32_t dim = static_cast<uint32_t>(point.dim());
-  const uint32_t nnz = static_cast<uint32_t>(point.nnz());
-  out->append(reinterpret_cast<const char*>(&tag), sizeof(tag));
-  out->append(reinterpret_cast<const char*>(&dim), sizeof(dim));
-  out->append(reinterpret_cast<const char*>(&nnz), sizeof(nnz));
-  if (point.is_sparse()) {
-    out->append(reinterpret_cast<const char*>(point.sparse_indices().data()),
+void AppendRowRecord(const kernels::VecView& row, std::string* out) {
+  const uint8_t tag = row.is_sparse() ? kSparseTag : kDenseTag;
+  const uint32_t dim = static_cast<uint32_t>(row.dim);
+  const uint32_t nnz = static_cast<uint32_t>(row.nnz);
+  char header[sizeof(tag) + sizeof(dim) + sizeof(nnz)];
+  std::memcpy(header, &tag, sizeof(tag));
+  std::memcpy(header + sizeof(tag), &dim, sizeof(dim));
+  std::memcpy(header + sizeof(tag) + sizeof(dim), &nnz, sizeof(nnz));
+  out->append(header, sizeof(header));
+  // An empty row's arrays may be null; append nothing rather than read them.
+  if (nnz == 0) return;
+  if (row.is_sparse()) {
+    out->append(reinterpret_cast<const char*>(row.indices),
                 nnz * sizeof(uint32_t));
-    out->append(reinterpret_cast<const char*>(point.sparse_values().data()),
-                nnz * sizeof(float));
-  } else {
-    out->append(reinterpret_cast<const char*>(point.dense_values().data()),
-                nnz * sizeof(float));
   }
+  out->append(reinterpret_cast<const char*>(row.values), nnz * sizeof(float));
+}
+
+void AppendPointRecord(const Point& point, std::string* out) {
+  AppendRowRecord(point.View(), out);
+}
+
+std::string RecordName::ToString() const {
+  return std::string(kind) + " " + std::to_string(index) + " of " +
+         std::string(of);
 }
 
 std::string EncodePointsBinary(const PointSet& points) {
@@ -168,12 +177,14 @@ bool SavePointsBinary(const PointSet& points, const std::string& path) {
   return static_cast<bool>(out);
 }
 
-StatusOr<Point> TryReadPointRecord(ByteReader* in, const std::string& where) {
+StatusOr<Point> TryReadPointRecord(ByteReader* in, const RecordName& where) {
+  // Error suffix naming the record; built only on a failure path.
+  const auto at = [&where] { return " at " + where.ToString(); };
   uint8_t tag;
   uint32_t dim, nnz;
   if (!in->Read(&tag, sizeof(tag)) || !in->Read(&dim, sizeof(dim)) ||
       !in->Read(&nnz, sizeof(nnz))) {
-    return DataLossError("truncated record header at " + where);
+    return DataLossError("truncated record header" + at());
   }
   // A record's payload cannot exceed the bytes that remain: reject corrupt
   // nnz fields before they turn into huge allocations.
@@ -181,17 +192,17 @@ StatusOr<Point> TryReadPointRecord(ByteReader* in, const std::string& where) {
       tag == kSparseTag ? sizeof(uint32_t) + sizeof(float) : sizeof(float);
   if (static_cast<uint64_t>(nnz) * entry_bytes > in->remaining()) {
     return DataLossError("record payload (" + std::to_string(nnz) +
-                         " entries) exceeds file size at " + where);
+                         " entries) exceeds file size" + at());
   }
   if (tag == kDenseTag) {
     if (nnz != dim) {
       return InvalidArgumentError("dense record with nnz " +
                                   std::to_string(nnz) + " != dim " +
-                                  std::to_string(dim) + " at " + where);
+                                  std::to_string(dim) + at());
     }
     std::vector<float> values(nnz);
     if (!in->Read(values.data(), nnz * sizeof(float))) {
-      return DataLossError("truncated dense payload at " + where);
+      return DataLossError("truncated dense payload" + at());
     }
     return Point::Dense(std::move(values));
   }
@@ -199,29 +210,29 @@ StatusOr<Point> TryReadPointRecord(ByteReader* in, const std::string& where) {
     if (nnz > dim) {
       return InvalidArgumentError("sparse record with nnz " +
                                   std::to_string(nnz) + " > dim " +
-                                  std::to_string(dim) + " at " + where);
+                                  std::to_string(dim) + at());
     }
     std::vector<uint32_t> indices(nnz);
     std::vector<float> values(nnz);
     if (!in->Read(indices.data(), nnz * sizeof(uint32_t)) ||
         !in->Read(values.data(), nnz * sizeof(float))) {
-      return DataLossError("truncated sparse payload at " + where);
+      return DataLossError("truncated sparse payload" + at());
     }
     for (size_t j = 0; j + 1 < indices.size(); ++j) {
       if (indices[j] >= indices[j + 1]) {
-        return InvalidArgumentError("unsorted sparse indices at " + where);
+        return InvalidArgumentError("unsorted sparse indices" + at());
       }
     }
     if (!indices.empty() && indices.back() >= dim) {
-      return InvalidArgumentError(
-          "sparse index " + std::to_string(indices.back()) +
-          " out of range for dim " + std::to_string(dim) + " at " + where);
+      return InvalidArgumentError("sparse index " +
+                                  std::to_string(indices.back()) +
+                                  " out of range for dim " +
+                                  std::to_string(dim) + at());
     }
     return Point::Sparse(std::move(indices), std::move(values), dim);
   }
   return InvalidArgumentError("unknown record tag " +
-                              std::to_string(static_cast<int>(tag)) + " at " +
-                              where);
+                              std::to_string(static_cast<int>(tag)) + at());
 }
 
 StatusOr<PointSet> TryParsePointsBinary(std::string_view bytes,
@@ -249,11 +260,12 @@ StatusOr<PointSet> TryParsePointsBinary(std::string_view bytes,
         Quoted(origin) + " has only " + std::to_string(payload) +
         " payload bytes");
   }
+  const std::string quoted_origin = Quoted(origin);
   PointSet points;
   points.reserve(count);
   for (uint64_t i = 0; i < count; ++i) {
-    StatusOr<Point> p = TryReadPointRecord(
-        &in, "record " + std::to_string(i) + " of " + Quoted(origin));
+    StatusOr<Point> p =
+        TryReadPointRecord(&in, RecordName{"record", i, quoted_origin});
     if (!p.ok()) return p.status();
     points.push_back(std::move(*p));
   }
@@ -269,19 +281,18 @@ StatusOr<PointSet> TryLoadPointsBinary(const std::string& path) {
 namespace {
 
 // A Dataset holds one ambient dimension; reject mixed-dimension input with a
-// Status before the columnar build would CHECK on it.
+// Status (Dataset::TryFromPoints) before the columnar build would CHECK on
+// it.
 StatusOr<Dataset> DatasetFromLoaded(StatusOr<PointSet> points,
                                     const std::string& path) {
   if (!points.ok()) return points.status();
-  for (size_t i = 1; i < points->size(); ++i) {
-    if ((*points)[i].dim() != (*points)[0].dim()) {
-      return InvalidArgumentError(
-          "record " + std::to_string(i) + " of " + Quoted(path) +
-          " has dim " + std::to_string((*points)[i].dim()) + ", but record 0 "
-          "has dim " + std::to_string((*points)[0].dim()));
-    }
+  StatusOr<Dataset> data =
+      Dataset::TryFromPoints(std::move(*points), "record");
+  if (!data.ok()) {
+    return Status(data.status().code(),
+                  data.status().message() + " in " + Quoted(path));
   }
-  return Dataset(std::move(*points));
+  return data;
 }
 
 }  // namespace

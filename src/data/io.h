@@ -23,6 +23,7 @@
 #define DIVERSE_DATA_IO_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <cstring>
 #include <optional>
 #include <string>
@@ -30,6 +31,7 @@
 
 #include "core/dataset.h"
 #include "core/point.h"
+#include "core/vector_kernels.h"
 #include "util/status.h"
 
 namespace diverse {
@@ -65,18 +67,34 @@ class ByteReader {
   size_t remaining_;
 };
 
-/// Appends the binary-format record of one point (the per-point layout of
-/// SavePointsBinary: tag, dim, nnz, then the coordinate payload) to `*out`.
-/// Raw little-endian float bytes round-trip exactly, which is what makes
-/// serialized partitions and core-sets bit-identical after transport.
+/// Appends the binary-format record of one row view (the per-point layout
+/// of SavePointsBinary: tag, dim, nnz, then the coordinate payload) to
+/// `*out`. Raw little-endian float bytes round-trip exactly, which is what
+/// makes serialized partitions and core-sets bit-identical after transport.
+/// The view may come from a Point or from a Dataset row: the same
+/// coordinates give the same bytes.
+void AppendRowRecord(const kernels::VecView& row, std::string* out);
+
+/// AppendRowRecord of `point.View()`.
 void AppendPointRecord(const Point& point, std::string* out);
+
+/// How error messages name one record: "<kind> <index> of <of>", e.g.
+/// "point 7 of request points". The text is built only when a record is
+/// rejected, so a decoder pays nothing per record for its diagnostics.
+struct RecordName {
+  const char* kind = "record";
+  uint64_t index = 0;
+  std::string_view of;
+
+  std::string ToString() const;
+};
 
 /// Reads one binary point record from `*in` with the same validation and
 /// error taxonomy as TryLoadPointsBinary (truncation -> kDataLoss; nnz >
 /// dim, unsorted or out-of-range sparse indices, unknown tag ->
 /// kInvalidArgument). `where` names the record in error messages.
 DIVERSE_MUST_USE StatusOr<Point> TryReadPointRecord(ByteReader* in,
-                                                    const std::string& where);
+                                                    const RecordName& where);
 
 /// Serializes `points` to the binary format in memory — the exact bytes
 /// SavePointsBinary would write to a file. Decoded by TryParsePointsBinary.

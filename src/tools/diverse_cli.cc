@@ -16,6 +16,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <map>
@@ -293,24 +294,52 @@ int RunGenerate(const CliFlags& flags) {
   std::string out = flags.Get("out", "");
   std::string kind = flags.Get("kind", "sphere");
   if (out.empty()) return Usage();
+  // The generators CHECK-fail on inputs they cannot honour, and a negative
+  // count would wrap to a huge size_t: reject both here with an error.
+  for (const char* key : {"n", "k", "dim", "vocab", "topics"}) {
+    if (flags.GetInt(key, 0) < 0) {
+      std::fprintf(stderr, "error: --%s must be non-negative\n", key);
+      return 1;
+    }
+  }
   size_t n = static_cast<size_t>(flags.GetInt("n", 10000));
   uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
+  const size_t dim = static_cast<size_t>(flags.GetInt("dim", 3));
+  if ((kind == "sphere" || kind == "cube") && dim < 1) {
+    std::fprintf(stderr, "error: --dim must be at least 1\n");
+    return 1;
+  }
 
   PointSet pts;
   if (kind == "sphere") {
     SphereDatasetOptions o;
     o.n = n;
     o.k = static_cast<size_t>(flags.GetInt("k", 8));
-    o.dim = static_cast<size_t>(flags.GetInt("dim", 3));
+    o.dim = dim;
     o.seed = seed;
+    if (o.n < o.k) {
+      std::fprintf(stderr,
+                   "error: --n (%zu) must be at least --k (%zu), the number "
+                   "of planted sphere points\n",
+                   o.n, o.k);
+      return 1;
+    }
     pts = GenerateSphereDataset(o);
   } else if (kind == "cube") {
-    pts = GenerateUniformCube(n, static_cast<size_t>(flags.GetInt("dim", 3)),
-                              seed);
+    pts = GenerateUniformCube(n, dim, seed);
   } else if (kind == "text") {
     SparseTextOptions o;
     o.n = n;
-    o.vocab_size = static_cast<uint32_t>(flags.GetInt("vocab", 5000));
+    const long long vocab = flags.GetInt("vocab", 5000);
+    if (vocab < static_cast<long long>(o.max_terms) ||
+        vocab > static_cast<long long>(UINT32_MAX)) {
+      std::fprintf(stderr,
+                   "error: --vocab (%lld) must be between %zu (the most "
+                   "distinct terms in one document) and %u\n",
+                   vocab, o.max_terms, UINT32_MAX);
+      return 1;
+    }
+    o.vocab_size = static_cast<uint32_t>(vocab);
     o.num_topics = static_cast<size_t>(flags.GetInt("topics", 32));
     o.seed = seed;
     pts = GenerateSparseTextDataset(o);

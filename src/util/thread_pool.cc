@@ -213,16 +213,25 @@ size_t DefaultGlobalThreads() {
   return hw == 0 ? 1 : static_cast<size_t>(hw);
 }
 
+// The global pool is read through an atomic pointer, so the batched
+// kernels' per-call lookup takes no lock; the mutex serializes only its
+// creation and replacement. g_global_pool owns what g_global_pool_ptr
+// publishes.
 Mutex g_global_pool_mu;
 std::unique_ptr<ThreadPool> g_global_pool
     DIVERSE_GUARDED_BY(g_global_pool_mu);
+std::atomic<ThreadPool*> g_global_pool_ptr{nullptr};
 
 }  // namespace
 
 ThreadPool& GlobalThreadPool() {
+  if (ThreadPool* pool = g_global_pool_ptr.load(std::memory_order_acquire)) {
+    return *pool;
+  }
   MutexLock lock(&g_global_pool_mu);
   if (!g_global_pool) {
     g_global_pool = std::make_unique<ThreadPool>(DefaultGlobalThreads());
+    g_global_pool_ptr.store(g_global_pool.get(), std::memory_order_release);
   }
   return *g_global_pool;
 }
@@ -230,6 +239,7 @@ ThreadPool& GlobalThreadPool() {
 void SetGlobalThreadPoolSize(size_t num_threads) {
   MutexLock lock(&g_global_pool_mu);
   g_global_pool = std::make_unique<ThreadPool>(num_threads);
+  g_global_pool_ptr.store(g_global_pool.get(), std::memory_order_release);
 }
 
 void ThreadPool::WorkerLoop() {

@@ -7,6 +7,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -14,8 +15,10 @@
 
 #include "comm/frame.h"
 #include "comm/serialize.h"
+#include "core/dataset.h"
 #include "core/generalized_coreset.h"
 #include "core/point.h"
+#include "util/rng.h"
 #include "util/status.h"
 
 namespace diverse {
@@ -352,6 +355,182 @@ TEST(SerializeTest, ReplyRejectsOutOfRangeStatusCode) {
   StatusOr<WireReply> back = TryDecodeWireReply(payload);
   ASSERT_FALSE(back.ok());
   EXPECT_EQ(back.status().code(), StatusCode::kInvalidArgument);
+}
+
+
+// ---------------------------------------------------------------------------
+// Row-view requests: a partition encoded straight from a Dataset's columnar
+// rows must be the very bytes of the gathered partition's encoding, so
+// workers, fingerprints and the partition cache cannot tell them apart.
+
+PointSet GatherRows(const Dataset& data, const std::vector<uint32_t>& rows) {
+  PointSet out;
+  for (uint32_t r : rows) out.push_back(data.point(r));
+  return out;
+}
+
+PointSet RandomRows(size_t n, uint32_t dim, bool dense, bool sparse,
+                    uint64_t seed) {
+  Rng rng(seed);
+  PointSet pts;
+  for (size_t i = 0; i < n; ++i) {
+    const bool make_sparse = sparse && (!dense || rng.NextBounded(2) == 0);
+    if (make_sparse) {
+      std::vector<uint32_t> idx;
+      std::vector<float> val;
+      // Some rows store no coordinates at all (empty arrays).
+      for (uint32_t c = 0; c < dim; ++c) {
+        if (rng.NextBounded(3) == 0) {
+          idx.push_back(c);
+          val.push_back(static_cast<float>(rng.NextDouble()) - 0.5f);
+        }
+      }
+      pts.push_back(Point::Sparse(std::move(idx), std::move(val), dim));
+    } else {
+      std::vector<float> v(dim);
+      for (float& x : v) x = static_cast<float>(rng.NextDouble() * 4 - 2);
+      pts.push_back(Point::Dense(std::move(v)));
+    }
+  }
+  return pts;
+}
+
+TEST(RowViewEncodeTest, RequestIsByteIdenticalToGatheredEncode) {
+  struct Layout {
+    const char* name;
+    PointSet points;
+  };
+  const Layout layouts[] = {
+      {"dense", RandomRows(40, 6, /*dense=*/true, /*sparse=*/false, 1)},
+      {"sparse", RandomRows(40, 12, /*dense=*/false, /*sparse=*/true, 2)},
+      {"mixed", RandomRows(40, 9, /*dense=*/true, /*sparse=*/true, 3)},
+  };
+  const std::vector<std::vector<uint32_t>> row_sets = {
+      {},                            // empty partition
+      {5},                           // one row
+      {0, 3, 7, 11, 19, 39},         // ascending block
+      {39, 2, 2, 17, 2, 0, 17, 33},  // repeated, out-of-order rows
+  };
+  for (const Layout& layout : layouts) {
+    const Dataset data(layout.points);
+    for (const std::vector<uint32_t>& rows : row_sets) {
+      const PointSet gathered = GatherRows(data, rows);
+      const WirePoints by_rows(data, rows);
+      EXPECT_EQ(by_rows.size(), rows.size());
+      EXPECT_EQ(by_rows.Fingerprint(), FingerprintPoints(gathered))
+          << layout.name;
+      EXPECT_EQ(by_rows.Fingerprint(), FingerprintRows(data, rows))
+          << layout.name;
+      for (WireTaskType type :
+           {WireTaskType::kCoreset, WireTaskType::kGenCoreset}) {
+        for (int flags = 0; flags < 3; ++flags) {
+          WireRequest req;
+          req.type = type;
+          req.metric = "cosine";
+          req.round = type == WireTaskType::kCoreset ? "coreset" : "gen";
+          req.task = rows.size();
+          req.k = 4;
+          req.k_prime = 9;
+          req.delegates = 2;
+          req.extended = type == WireTaskType::kCoreset;
+          req.points_fingerprint = FingerprintPoints(gathered);
+          req.cache_insert = flags == 1;
+          req.points_by_ref = flags == 2;
+          const std::string want = EncodeWireRequest(req, &gathered);
+          const std::string got = EncodeWireRequest(req, by_rows);
+          ASSERT_EQ(got.size(), want.size())
+              << layout.name << " rows=" << rows.size() << " flags=" << flags;
+          EXPECT_EQ(std::memcmp(got.data(), want.data(), want.size()), 0)
+              << layout.name << " rows=" << rows.size() << " flags=" << flags;
+          // And through the PointSet form of the section.
+          EXPECT_EQ(EncodeWireRequest(req, WirePoints(gathered)), want);
+        }
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// CRC-32: the slice-by-8 table walk must agree with the bytewise definition
+// at every length and alignment.
+
+uint32_t BytewiseCrc32(std::string_view bytes) {
+  uint32_t c = 0xFFFFFFFFu;
+  for (char ch : bytes) {
+    c ^= static_cast<uint8_t>(ch);
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(FrameTest, Crc32MatchesBytewiseReferenceAtEveryLengthAndOffset) {
+  EXPECT_EQ(Crc32("123456789"), 0xCBF43926u);
+  Rng rng(77);
+  std::string buf(1024 + 8, '\0');
+  for (char& c : buf) c = static_cast<char>(rng.NextBounded(256));
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= 1024; ++len) {
+      const std::string_view bytes(buf.data() + offset, len);
+      ASSERT_EQ(Crc32(bytes), BytewiseCrc32(bytes))
+          << "offset " << offset << " length " << len;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Record names are formatted only on failure, with unchanged text.
+
+TEST(SerializeTest, CorruptMidPartitionRecordNamesItsIndex) {
+  WireRequest req;
+  req.type = WireTaskType::kCoreset;
+  req.metric = "euclidean";
+  req.round = "coreset";
+  req.points = RandomRows(50, 5, /*dense=*/true, /*sparse=*/false, 9);
+  const std::string payload = EncodeWireRequest(req);
+  // Record 23 starts where the encoding of the first 23 points would end,
+  // less its (empty) points2 and generalized-core-set counts.
+  WireRequest prefix = req;
+  prefix.points.resize(23);
+  const size_t at = EncodeWireRequest(prefix).size() - 2 * sizeof(uint64_t);
+  std::string corrupt = payload;
+  corrupt[at] = '\x07';  // the record's tag byte
+  const std::string want = "unknown record tag 7 at point 23 of request points";
+
+  StatusOr<WireRequest> mono = TryDecodeWireRequest(corrupt);
+  ASSERT_FALSE(mono.ok());
+  EXPECT_EQ(mono.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(mono.status().message(), want);
+
+  // Fed in slices, the streaming decoder reports the same record.
+  StreamingRequestDecoder streaming;
+  Status fed = OkStatus();
+  for (size_t off = 0; off < corrupt.size() && fed.ok(); off += 37) {
+    fed = streaming.Feed(std::string_view(corrupt).substr(off, 37));
+  }
+  StatusOr<WireRequest> chunked =
+      fed.ok() ? streaming.Finish() : StatusOr<WireRequest>(fed);
+  ASSERT_FALSE(chunked.ok());
+  EXPECT_EQ(chunked.status().message(), want);
+
+  // The standalone point-set and generalized-core-set readers too.
+  std::string set_bytes;
+  AppendPointSet(req.points, &set_bytes);
+  set_bytes[sizeof(uint64_t) + 4 * (9 + 5 * sizeof(float))] = '\x07';
+  ByteReader set_in(set_bytes);
+  EXPECT_EQ(TryReadPointSet(&set_in, "reply points").status().message(),
+            "unknown record tag 7 at point 4 of reply points");
+
+  GeneralizedCoreset gen;
+  for (const Point& p : RandomRows(3, 2, true, false, 10)) gen.Add(p, 2);
+  std::string gen_bytes;
+  AppendGenCoreset(gen, &gen_bytes);
+  const size_t entry_bytes = sizeof(uint64_t) + 9 + 2 * sizeof(float);
+  std::memset(&gen_bytes[sizeof(uint64_t) + entry_bytes], 0, sizeof(uint64_t));
+  ByteReader gen_in(gen_bytes);
+  EXPECT_EQ(TryReadGenCoreset(&gen_in, "reply generalized core-set")
+                .status()
+                .message(),
+            "zero multiplicity at entry 1 of reply generalized core-set");
 }
 
 }  // namespace

@@ -167,6 +167,29 @@ TEST(DatasetTest, AssignGatherMatchesAssignOfSamePoints) {
   }
 }
 
+// TryFromPoints is the fallible builder: mixed dimensions come back as a
+// Status naming the first offending row, and uniform input builds the same
+// dataset the constructor does.
+TEST(DatasetTest, TryFromPointsRejectsMixedDimensionsWithStatus) {
+  const PointSet mixed = {Point::Dense2(0.0f, 0.0f), Point::Dense2(1.0f, 1.0f),
+                          Point::Dense3(1.0f, 2.0f, 3.0f),
+                          Point::Dense({4.0f})};
+  StatusOr<Dataset> bad = Dataset::TryFromPoints(mixed);
+  ASSERT_FALSE(bad.ok());
+  EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(bad.status().message(), "row 2 has dim 3, but row 0 has dim 2");
+  EXPECT_EQ(Dataset::TryFromPoints(mixed, "record").status().message(),
+            "record 2 has dim 3, but record 0 has dim 2");
+
+  const PointSet pts = MixedPoints(12, 5, /*seed=*/11);
+  StatusOr<Dataset> good = Dataset::TryFromPoints(pts);
+  ASSERT_TRUE(good.ok()) << good.status().ToString();
+  ASSERT_EQ(good->size(), pts.size());
+  EXPECT_EQ(good->dim(), 5u);
+  for (size_t i = 0; i < pts.size(); ++i) EXPECT_TRUE(good->point(i) == pts[i]);
+  EXPECT_TRUE(Dataset::TryFromPoints({}).ok());
+}
+
 TEST(DatasetDeathTest, RejectsMismatchedDimensions) {
   Dataset data;
   data.Append(Point::Dense2(1.0f, 2.0f));

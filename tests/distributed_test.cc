@@ -17,6 +17,7 @@
 
 #include "comm/socket_engine.h"
 #include "core/metric.h"
+#include "data/sparse_text.h"
 #include "data/synthetic.h"
 #include "mapreduce/fault_injector.h"
 #include "mapreduce/mr_diversity.h"
@@ -136,6 +137,48 @@ TEST(DistributedTest, GeneralizedDriverMatchesLoopback) {
       EXPECT_EQ(base->diversity, remote->diversity) << mc.name;
       EXPECT_FALSE(remote->degraded.has_value());
     }
+  }
+}
+
+// Sparse cosine text through both MapReduce drivers: the socket engine
+// encodes each partition's sparse records straight from the driver's
+// columnar rows, and the answers must still match loopback bit for bit.
+TEST(DistributedTest, SparseCosineRowViewShipMatchesLoopback) {
+  SparseTextOptions text;
+  text.n = 240;
+  text.vocab_size = 400;
+  text.seed = 17;
+  const Dataset data = Dataset::FromPoints(GenerateSparseTextDataset(text));
+  CosineMetric cosine;
+  // The 3-round generalized driver serves only the injective-proxy
+  // problems (remote-clique here).
+  const struct {
+    DiversityProblem problem;
+    bool generalized;
+  } cases[] = {{DiversityProblem::kRemoteEdge, false},
+               {DiversityProblem::kRemoteClique, false},
+               {DiversityProblem::kRemoteClique, true}};
+  for (const auto& c : cases) {
+    SocketEngine socket(SocketOptions("cosine", c.problem));
+    ASSERT_TRUE(socket.Healthy().ok()) << socket.Healthy().ToString();
+    MrOptions opts = BaseOptions();
+    MapReduceDiversity loopback_mr(&cosine, c.problem, opts);
+    opts.engine = &socket;
+    MapReduceDiversity socket_mr(&cosine, c.problem, opts);
+    StatusOr<MrResult> base = c.generalized
+                                  ? loopback_mr.TryRunGeneralized(data)
+                                  : loopback_mr.TryRun(data);
+    ASSERT_TRUE(base.ok()) << base.status().ToString();
+    StatusOr<MrResult> remote = c.generalized
+                                    ? socket_mr.TryRunGeneralized(data)
+                                    : socket_mr.TryRun(data);
+    ASSERT_TRUE(remote.ok()) << remote.status().ToString();
+    EXPECT_TRUE(SamePoints(base->solution, remote->solution))
+        << "generalized=" << c.generalized;
+    EXPECT_EQ(base->diversity, remote->diversity);
+    EXPECT_FALSE(remote->degraded.has_value());
+    EXPECT_GT(socket.stats().request_bytes_sent, 0u);
+    EXPECT_EQ(socket.stats().rpc_errors, 0u);
   }
 }
 

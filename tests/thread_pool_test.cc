@@ -1,6 +1,7 @@
 #include "util/thread_pool.h"
 
 #include <atomic>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -160,6 +161,28 @@ TEST(ThreadPoolTest, DestructionWaitsForTasks) {
     }
   }  // destructor joins
   EXPECT_EQ(counter.load(), 10);
+}
+
+// GlobalThreadPool() is created once, on first use; every concurrent first
+// caller must get that one pool (run under -fsanitize=thread, this also
+// checks that the lock-free lookup publishes the pool safely).
+TEST(ThreadPoolTest, ConcurrentFirstGlobalPoolCallersShareOnePool) {
+  constexpr size_t kCallers = 8;
+  std::vector<ThreadPool*> seen(kCallers, nullptr);
+  std::atomic<bool> go{false};
+  std::vector<std::thread> callers;
+  for (size_t i = 0; i < kCallers; ++i) {
+    callers.emplace_back([&, i] {
+      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+      ThreadPool& pool = GlobalThreadPool();
+      seen[i] = &pool;
+      EXPECT_GE(pool.num_threads(), 1u);
+    });
+  }
+  go.store(true, std::memory_order_release);
+  for (std::thread& t : callers) t.join();
+  for (ThreadPool* p : seen) EXPECT_EQ(p, seen[0]);
+  EXPECT_EQ(&GlobalThreadPool(), seen[0]);
 }
 
 }  // namespace
