@@ -102,8 +102,9 @@ void AppendPoints(size_t count, ViewAt view_at, std::string* out) {
 }
 
 // The FingerprintPoints hash over `count` points whose views `view_at(i)`
-// returns: the one definition the PointSet and row-view stamps share, so
-// they agree by construction.
+// returns. WirePoints::Fingerprint is its one caller, and FingerprintPoints
+// / FingerprintRows forward to that, so the PointSet and row-view stamps
+// agree by construction.
 template <typename ViewAt>
 uint64_t FingerprintSequence(size_t count, ViewAt view_at) {
   uint64_t h = MixWord(0xD1BE45E5EED5EEDULL, count);
@@ -136,14 +137,6 @@ size_t PointSetPayloadBytes(const PointSet& points) {
 
 }  // namespace
 
-uint64_t FingerprintPoints(const PointSet& points) {
-  return FingerprintSequence(points.size(), PointViews(points));
-}
-
-uint64_t FingerprintRows(const Dataset& data, std::span<const uint32_t> rows) {
-  return FingerprintSequence(rows.size(), RowViews(data, rows));
-}
-
 template <typename Fn>
 auto WirePoints::Visit(Fn fn) const {
   if (data_ != nullptr) return fn(rows_.size(), RowViews(*data_, rows_));
@@ -154,6 +147,14 @@ uint64_t WirePoints::Fingerprint() const {
   return Visit([](size_t count, auto view_at) {
     return FingerprintSequence(count, view_at);
   });
+}
+
+uint64_t FingerprintPoints(const PointSet& points) {
+  return WirePoints(points).Fingerprint();
+}
+
+uint64_t FingerprintRows(const Dataset& data, std::span<const uint32_t> rows) {
+  return WirePoints(data, rows).Fingerprint();
 }
 
 size_t WirePoints::PayloadBytes() const {

@@ -152,7 +152,8 @@ class WirePoints {
   }
   bool empty() const { return size() == 0; }
 
-  /// FingerprintPoints of the section's points.
+  /// The section's content stamp: FingerprintPoints and FingerprintRows
+  /// are forwards to this.
   uint64_t Fingerprint() const;
 
   /// Exact size of what AppendTo() writes.

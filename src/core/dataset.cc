@@ -38,15 +38,13 @@ Dataset Dataset::FromPoints(std::span<const Point> points) {
   return d;
 }
 
-StatusOr<Dataset> Dataset::TryFromPoints(PointSet points,
-                                         std::string_view row_kind) {
+StatusOr<Dataset> Dataset::TryFromPoints(PointSet points) {
   for (size_t i = 1; i < points.size(); ++i) {
     if (points[i].dim() != points[0].dim()) {
-      const std::string kind(row_kind);
       return InvalidArgumentError(
-          kind + " " + std::to_string(i) + " has dim " +
-          std::to_string(points[i].dim()) + ", but " + kind +
-          " 0 has dim " + std::to_string(points[0].dim()));
+          "record " + std::to_string(i) + " has dim " +
+          std::to_string(points[i].dim()) + ", but record 0 has dim " +
+          std::to_string(points[0].dim()));
     }
   }
   return Dataset(std::move(points));

@@ -31,7 +31,6 @@
 #include <cstdint>
 #include <limits>
 #include <span>
-#include <string_view>
 #include <vector>
 
 #include "core/point.h"
@@ -54,11 +53,10 @@ class Dataset {
   static Dataset FromPoints(std::span<const Point> points);
 
   /// The fallible form of Dataset(points): kInvalidArgument naming the
-  /// first row whose dimension differs from row 0's ("row 2 has dim 3, but
-  /// row 0 has dim 2"; `row_kind` replaces the word "row"), where the
-  /// constructor CHECK-fails. Otherwise takes ownership of `points`.
-  DIVERSE_MUST_USE static StatusOr<Dataset> TryFromPoints(
-      PointSet points, std::string_view row_kind = "row");
+  /// first record whose dimension differs from record 0's ("record 2 has
+  /// dim 3, but record 0 has dim 2"), where the constructor CHECK-fails.
+  /// Otherwise takes ownership of `points`.
+  DIVERSE_MUST_USE static StatusOr<Dataset> TryFromPoints(PointSet points);
 
   /// Number of rows.
   size_t size() const { return rows_.size(); }

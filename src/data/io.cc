@@ -286,8 +286,7 @@ namespace {
 StatusOr<Dataset> DatasetFromLoaded(StatusOr<PointSet> points,
                                     const std::string& path) {
   if (!points.ok()) return points.status();
-  StatusOr<Dataset> data =
-      Dataset::TryFromPoints(std::move(*points), "record");
+  StatusOr<Dataset> data = Dataset::TryFromPoints(std::move(*points));
   if (!data.ok()) {
     return Status(data.status().code(),
                   data.status().message() + " in " + Quoted(path));

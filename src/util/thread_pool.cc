@@ -237,9 +237,15 @@ ThreadPool& GlobalThreadPool() {
 }
 
 void SetGlobalThreadPoolSize(size_t num_threads) {
-  MutexLock lock(&g_global_pool_mu);
-  g_global_pool = std::make_unique<ThreadPool>(num_threads);
-  g_global_pool_ptr.store(g_global_pool.get(), std::memory_order_release);
+  auto fresh = std::make_unique<ThreadPool>(num_threads);
+  std::unique_ptr<ThreadPool> old;
+  {
+    MutexLock lock(&g_global_pool_mu);
+    // Publish the new pool before the old one is torn down.
+    g_global_pool_ptr.store(fresh.get(), std::memory_order_release);
+    old = std::exchange(g_global_pool, std::move(fresh));
+  }
+  // `old` joins its workers here, outside the lock.
 }
 
 void ThreadPool::WorkerLoop() {

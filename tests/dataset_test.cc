@@ -168,7 +168,7 @@ TEST(DatasetTest, AssignGatherMatchesAssignOfSamePoints) {
 }
 
 // TryFromPoints is the fallible builder: mixed dimensions come back as a
-// Status naming the first offending row, and uniform input builds the same
+// Status naming the first offending record, and uniform input builds the same
 // dataset the constructor does.
 TEST(DatasetTest, TryFromPointsRejectsMixedDimensionsWithStatus) {
   const PointSet mixed = {Point::Dense2(0.0f, 0.0f), Point::Dense2(1.0f, 1.0f),
@@ -177,8 +177,7 @@ TEST(DatasetTest, TryFromPointsRejectsMixedDimensionsWithStatus) {
   StatusOr<Dataset> bad = Dataset::TryFromPoints(mixed);
   ASSERT_FALSE(bad.ok());
   EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(bad.status().message(), "row 2 has dim 3, but row 0 has dim 2");
-  EXPECT_EQ(Dataset::TryFromPoints(mixed, "record").status().message(),
+  EXPECT_EQ(bad.status().message(),
             "record 2 has dim 3, but record 0 has dim 2");
 
   const PointSet pts = MixedPoints(12, 5, /*seed=*/11);
